@@ -15,7 +15,6 @@ from .network import (
     NetworkError,
     Point,
     TreeNetwork,
-    subdivide,
 )
 from .objectives import (
     EmptyInputError,
@@ -23,10 +22,13 @@ from .objectives import (
     Objective,
     WeightInvalidError,
     make_distribution,
+    median_point,
     optimal_location,
     point_mass,
     weighted_average,
+    _agent_context,
     _check_weights,
+    _descend,
 )
 
 
@@ -61,39 +63,6 @@ def _require_line(network):
 
 def _sorted_coords(network, profile):
     return sorted(network.coordinate_of(x) for x in profile)
-
-
-# -- generalized-median walks ----------------------------------------------
-
-
-def _agent_context(network, profile):
-    """Subdivide at agent locations so every agent sits at a node."""
-    aug, pmap = subdivide(network, list(profile))
-    agent_nodes = [pmap.to_augmented(x).node for x in profile]
-    return aug, pmap, agent_nodes
-
-
-def _descend(aug, agent_nodes, root, qualifies):
-    """Walk from the root into any branch whose agent count qualifies.
-
-    With thresholds above n/2 at most one branch can qualify, so the walk is
-    deterministic; it stops at the first node where no branch qualifies.
-    """
-    dm = aug.node_distances()
-    adj = aug.adjacency
-    a = root
-    while True:
-        da = dm[a]
-        moved = False
-        for w, _ in adj[a]:
-            dw = dm[w]
-            count = sum(1 for x in agent_nodes if dw[x] < da[x])
-            if qualifies(count):
-                a = w
-                moved = True
-                break
-        if not moved:
-            return a
 
 
 class Mechanism:
@@ -169,10 +138,7 @@ class TreeMedian(Mechanism):
     def run(self, network, profile):
         if len(profile) == 0:
             raise EmptyInputError("profile is empty")
-        aug, pmap, agent_nodes = _agent_context(network, profile)
-        n = len(profile)
-        stop = _descend(aug, agent_nodes, 0, lambda count: 2 * count > n)
-        return point_mass(pmap.to_original(Point.at_node(stop)))
+        return point_mass(median_point(network, profile))
 
 
 class DGM(Mechanism):

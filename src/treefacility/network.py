@@ -274,8 +274,6 @@ class TreeNetwork:
         pts = [Point.at_node(x) for x in self._node_path(na, nb)]
         if not a.is_node:
             pts = [a] + pts
-        elif pts[0] != a:
-            pts = [a] + pts  # unreachable; a is na
         if not b.is_node:
             pts = pts + [b]
         return pts

@@ -1,11 +1,15 @@
 """Social cost functions, exact expectations, and optimal-location solvers.
 
-The key solver is the weighted sum-of-squares minimizer on a tree.  Restricted
-to one edge, the objective is piecewise quadratic in the offset: every
-location off the edge contributes min(d(u,y)+t, d(v,y)+L-t), a tent with one
-breakpoint, and every location on the edge contributes |t-s|.  We sweep the
-breakpoints left to right, maintaining the quadratic coefficients
-incrementally, and take the global minimum over all edges.
+On a tree each optimum has a short characterization:
+
+- miniSOS: the weighted average.  Every location off an edge lies behind one
+  of its endpoints, so along the edge the objective is a single parabola;
+  its clamped vertex on the best edge is the minimizer.
+- minisum: the median, found by descending from node 0 into any branch that
+  holds more than half of the agents.
+- minimax: the midpoint of the farthest pair of agents.
+
+Every optimal cost is the social cost evaluated at the optimal point.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from .network import (
     LocationProfile,
     NetworkError,
     Point,
-    PointInvalidError,
     TreeNetwork,
     point_sort_key,
+    subdivide,
 )
 
 PROB_TOL = 1e-9
@@ -134,83 +138,33 @@ def _check_weights(weights, m):
         raise WeightInvalidError(f"weights sum to {total}, expected 1")
 
 
-def _edge_pieces(network, e, locations, loc_node_dists):
-    """Per-location linear pieces of distance along edge e.
-
-    Yields (breakpoint_or_None, c_before, g_before, c_after, g_after) where
-    the distance is c + g*t on each side of the breakpoint (g in {-1, +1}).
-    A None breakpoint means a single piece across the whole edge.
-    """
-    u, v, w = network.edges[e]
-    out = []
-    for i, y in enumerate(locations):
-        if not y.is_node and y.edge == e:
-            s = y.offset
-            out.append((s, s, -1.0, -s, 1.0))
-            continue
-        du = loc_node_dists[i][u]
-        dv = loc_node_dists[i][v]
-        t_star = 0.5 * (dv + w - du)
-        if t_star <= 0.0:
-            out.append((None, w + dv, -1.0, 0.0, 0.0))
-        elif t_star >= w:
-            out.append((None, du, 1.0, 0.0, 0.0))
-        else:
-            out.append((t_star, du, 1.0, w + dv, -1.0))
-    return out
-
-
-def _minimize_piecewise_sos(network, locations, weights):
+def _minisos_point(network, locations, weights):
     """Global minimizer of sum_i w_i d(t, y_i)^2 over the whole network.
 
-    Returns (Point, value).  Weights need not be normalized here.
+    Along edge (u, v, L) every location sits at a fixed position c_i on the
+    edge's own line: -d(u, y) behind u, L + d(v, y) behind v, or its offset
+    on the edge.  The objective there is one parabola, minimized by the
+    weighted mean of the c_i clamped to [0, L]; the best edge wins.
     """
-    m = len(locations)
-    loc_nd = [network.point_node_distances(y) for y in locations]
-    A = sum(weights)
-    best = None
     if not network.edges:
-        y0 = Point.at_node(0)
-        val = sum(w * network.distance(y0, y) ** 2 for w, y in zip(weights, locations))
-        return y0, val
+        return Point.at_node(0)
+    loc_nd = [network.point_node_distances(y) for y in locations]
+    total = sum(weights)
+    best = None
     for e, (u, v, L) in enumerate(network.edges):
-        pieces = _edge_pieces(network, e, locations, loc_nd)
-        B = 0.0
-        C = 0.0
-        flips = []
-        for i, (bp, c0, g0, c1, g1) in enumerate(pieces):
-            wi = weights[i]
-            B += wi * c0 * g0
-            C += wi * c0 * c0
-            if bp is not None:
-                flips.append((bp, i))
-        flips.sort()
-        bounds = [0.0] + [bp for bp, _ in flips] + [L]
-        seg = 0
-        t0 = 0.0
-        while True:
-            t1 = bounds[seg + 1]
-            # Quadratic A t^2 + 2 B t + C on [t0, t1].
-            cands = [t0, t1]
-            if A > 0.0:
-                tv = -B / A
-                if t0 < tv < t1:
-                    cands.append(tv)
-            for t in cands:
-                val = A * t * t + 2.0 * B * t + C
-                if best is None or val < best[0] - 1e-15:
-                    best = (val, e, t)
-            seg += 1
-            if seg > len(flips):
-                break
-            bp, i = flips[seg - 1]
-            _, c0, g0, c1, g1 = pieces[i]
-            wi = weights[i]
-            B += wi * (c1 * g1 - c0 * g0)
-            C += wi * (c1 * c1 - c0 * c0)
-            t0 = bp
-    val, e, t = best
-    return network.point_on_edge(e, t), max(val, 0.0)
+        cs = [
+            y.offset if y.edge == e else (-d[u] if d[u] <= d[v] else L + d[v])
+            for y, d in zip(locations, loc_nd)
+        ]
+        # Centred on c_0, so coincident locations give back their own offset.
+        c0 = cs[0]
+        t = c0 + sum(w * (c - c0) for w, c in zip(weights, cs)) / total
+        t = min(max(t, 0.0), L)
+        val = sum(w * (t - c) ** 2 for w, c in zip(weights, cs))
+        if best is None or val < best[0]:
+            best = (val, e, t)
+    _, e, t = best
+    return network.point_on_edge(e, t)
 
 
 def weighted_average(network: TreeNetwork, locations, weights) -> Point:
@@ -221,8 +175,7 @@ def weighted_average(network: TreeNetwork, locations, weights) -> Point:
     _check_weights(weights, len(locations))
     if len(locations) == 1:
         return locations[0]
-    point, _ = _minimize_piecewise_sos(network, locations, list(weights))
-    return point
+    return _minisos_point(network, locations, list(weights))
 
 
 def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
@@ -255,82 +208,51 @@ def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
 # -- optimal locations per objective ---------------------------------------
 
 
-def _minimize_piecewise_sum(network, locations, weights):
-    """Minimizer of sum_i w_i d(t, y_i); piecewise linear per edge.
+def _agent_context(network, profile):
+    """Subdivide at agent locations so every agent sits at a node."""
+    aug, pmap = subdivide(network, list(profile))
+    agent_nodes = [pmap.to_augmented(x).node for x in profile]
+    return aug, pmap, agent_nodes
 
-    Minima occur at breakpoints or nodes; among near-ties the point closest
-    to node 0 is returned, for determinism.
+
+def _descend(aug, agent_nodes, root, qualifies):
+    """Walk from the root into any branch whose agent count qualifies.
+
+    With thresholds above n/2 at most one branch can qualify, so the walk is
+    deterministic; it stops at the first node where no branch qualifies.
     """
-    loc_nd = [network.point_node_distances(y) for y in locations]
-    if not network.edges:
-        return Point.at_node(0), 0.0
-    candidates = []
-    for e, (u, v, L) in enumerate(network.edges):
-        pieces = _edge_pieces(network, e, locations, loc_nd)
-        ts = {0.0, L}
-        for bp, *_ in pieces:
-            if bp is not None and 0.0 < bp < L:
-                ts.add(bp)
-        for t in ts:
-            val = 0.0
-            for i, (bp, c0, g0, c1, g1) in enumerate(pieces):
-                if bp is None or t <= bp:
-                    val += weights[i] * (c0 + g0 * t)
-                else:
-                    val += weights[i] * (c1 + g1 * t)
-            candidates.append((val, e, t))
-    best_val = min(c[0] for c in candidates)
-    ties = [c for c in candidates if c[0] <= best_val + COST_TOL]
-    origin = Point.at_node(0)
-    pick = min(
-        ties,
-        key=lambda c: (network.distance(origin, network.point_on_edge(c[1], c[2])),
-                       c[1], c[2]),
-    )
-    return network.point_on_edge(pick[1], pick[2]), best_val
+    dm = aug.node_distances()
+    adj = aug.adjacency
+    a = root
+    while True:
+        da = dm[a]
+        moved = False
+        for w, _ in adj[a]:
+            dw = dm[w]
+            count = sum(1 for x in agent_nodes if dw[x] < da[x])
+            if qualifies(count):
+                a = w
+                moved = True
+                break
+        if not moved:
+            return a
 
 
-def _minimize_piecewise_max(network, locations, weights=None):
-    """Minimizer of max_i d(t, y_i); the weights are ignored."""
-    loc_nd = [network.point_node_distances(y) for y in locations]
-    if not network.edges:
-        return Point.at_node(0), 0.0
-    best = None
-    for e, (u, v, L) in enumerate(network.edges):
-        pieces = _edge_pieces(network, e, locations, loc_nd)
-        bounds = sorted({0.0, L} | {bp for bp, *_ in pieces if bp is not None and 0.0 < bp < L})
-        for t0, t1 in zip(bounds, bounds[1:]):
-            # On [t0, t1] every piece is linear with slope +-1 (or flat).
-            cp = cm = None  # max intercept among rising / falling pieces
-            flat = None
-            for bp, c0, g0, c1, g1 in pieces:
-                if bp is None or t1 <= bp + 1e-15:
-                    c, g = c0, g0
-                else:
-                    c, g = c1, g1
-                if g > 0:
-                    cp = c if cp is None else max(cp, c)
-                elif g < 0:
-                    cm = c if cm is None else max(cm, c)
-                else:
-                    flat = c if flat is None else max(flat, c)
-            cands = [t0, t1]
-            if cp is not None and cm is not None:
-                tx = 0.5 * (cm - cp)
-                if t0 < tx < t1:
-                    cands.append(tx)
-            for t in cands:
-                val = max(
-                    x for x in (
-                        cp + t if cp is not None else None,
-                        cm - t if cm is not None else None,
-                        flat,
-                    ) if x is not None
-                )
-                if best is None or val < best[0] - 1e-15:
-                    best = (val, e, t)
-    val, e, t = best
-    return network.point_on_edge(e, t), val
+def median_point(network: TreeNetwork, profile) -> Point:
+    """Descend from node 0 into any branch holding strictly more than half
+    the agents.  The stop minimizes the sum of distances; among ties it is
+    the minimizer closest to node 0."""
+    aug, pmap, agent_nodes = _agent_context(network, profile)
+    n = len(agent_nodes)
+    stop = _descend(aug, agent_nodes, 0, lambda count: 2 * count > n)
+    return pmap.to_original(Point.at_node(stop))
+
+
+def _minimax_point(network, locations):
+    """Midpoint of the farthest pair, found by two farthest-point sweeps."""
+    a = max(locations, key=lambda y: network.distance(locations[0], y))
+    b = max(locations, key=lambda y: network.distance(a, y))
+    return network.point_along_path(a, b, 0.5 * network.distance(a, b))
 
 
 def optimal_location(network: TreeNetwork, profile: LocationProfile,
@@ -339,9 +261,10 @@ def optimal_location(network: TreeNetwork, profile: LocationProfile,
     if len(profile) == 0:
         raise EmptyInputError("profile is empty")
     locs = list(profile)
-    ones = [1.0] * len(locs)
     if objective is Objective.MINISOS:
-        return _minimize_piecewise_sos(network, locs, ones)
-    if objective is Objective.MINISUM:
-        return _minimize_piecewise_sum(network, locs, ones)
-    return _minimize_piecewise_max(network, locs)
+        point = _minisos_point(network, locs, [1.0] * len(locs))
+    elif objective is Objective.MINISUM:
+        point = median_point(network, locs)
+    else:
+        point = _minimax_point(network, locs)
+    return point, social_cost(network, point, profile, objective)

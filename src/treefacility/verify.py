@@ -371,25 +371,15 @@ def make_two_anchor_instance(rng, ensure_far_opt=True, max_tries=60):
         # Leaf bushes only behind a or at/beyond b keep the hypothesis intact.
         attach_sites = [rng.randrange(0, ia + 1) for _ in range(rng.randint(0, 2))]
         attach_sites += [rng.randrange(ib, spine) for _ in range(rng.randint(1, 2))]
-        leaves = []
         for site in attach_sites:
             edges.append((site, nxt, rng.uniform(0.3, 1.5)))
-            leaves.append(nxt)
             nxt += 1
         network = TreeNetwork(nxt, edges)
         a = Point.at_node(ia)
         b = Point.at_node(ib)
-        spots = []
-        for node in range(nxt):
-            p = Point.at_node(node)
-            if node >= spine:  # leaf tip
-                spots.append(p)
-            elif node <= ia or node >= ib:
-                spots.append(p)
-            else:  # interior of path(a, b)
-                spots.append(p)
+        # Every node is behind a, beyond b, or on path(a, b).
         n_agents = rng.randint(3, 7)
-        locs = [spots[rng.randrange(len(spots))] for _ in range(n_agents)]
+        locs = [Point.at_node(rng.randrange(nxt)) for _ in range(n_agents)]
         # Weight the far end so the optimum falls beyond b.
         locs += [Point.at_node(spine - 1)] * (n_agents // 2 + 2)
         profile = LocationProfile(network, locs)

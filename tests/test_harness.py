@@ -184,6 +184,23 @@ class TestCLI:
         assert code == 0
         assert "worst ratio" in out
 
+    @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
+    def test_zero_budget_exit_2(self, command, capsys):
+        code = cli.main([command, "--mech", "median", "--budget", "0"])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_rd_tree_search_has_no_line_bound(self, capsys):
+        # rd's miniSOS bound of 2 holds on lines only; this search finds 2.9.
+        code = cli.main(["search", "--mech", "rd", "--budget", "200", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_rd_bound_applies_on_lines_only(self):
+        assert cli._bound_for("rd", "minisos", "line") == 2.0
+        assert cli._bound_for("rd", "minisos", "random_tree") is None
+
     def test_lemma_check(self, capsys):
         code = cli.main(["lemma-check", "--kind", "cost_difference",
                          "--budget", "10", "--seed", "2"])
@@ -243,6 +260,18 @@ class TestReport:
         assert code == 1
         text = out.read_text()
         assert "OVER-BOUND" in text
+
+    def test_rd_row_is_not_held_to_the_line_bound(self, tmp_path, capsys):
+        # A CSV carries no topology, so rd's line-only bound does not apply.
+        rows = tmp_path / "rd.csv"
+        with open(rows, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["instance_digest", "mechanism", "objective",
+                        "mech_cost", "opt_cost", "ratio", "max_regret", "seed"])
+            w.writerow(["deadbeef0000", "rd", "minisos", "8", "3", "2.666666667", "", "1"])
+        out = tmp_path / "report.csv"
+        assert cli.main(["report", str(rows), "--out", str(out)]) == 0
+        assert "OVER-BOUND" not in out.read_text()
 
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.csv"

@@ -229,6 +229,15 @@ class TestOptimalLocation:
         assert cost == pytest.approx(2.0, abs=1e-12)
         assert net.coordinate_of(pt) == pytest.approx(2.0, abs=1e-12)
 
+    def test_minisum_matches_grid_random(self):
+        cfg = GeneratorConfig(max_nodes=8, min_agents=1, max_agents=6, seed=43)
+        for net, prof in generate(cfg, 15):
+            pt, cost = optimal_location(net, prof, Objective.MINISUM)
+            assert cost == social_cost(net, pt, prof, Objective.MINISUM)
+            _, v_grid = grid_optimum(net, list(prof), [1.0] * len(prof), squared=False)
+            assert cost == pytest.approx(v_grid, abs=1e-5)
+            assert cost <= v_grid + 1e-9
+
     def test_minimax_matches_grid_random(self, rng):
         cfg = GeneratorConfig(max_nodes=8, min_agents=2, max_agents=5, seed=41)
         for net, prof in generate(cfg, 10):

@@ -15,8 +15,8 @@ from treefacility.mechanisms import (
     RandomizedDGM,
     TreeMedian,
 )
-from treefacility.network import LocationProfile, Point
-from treefacility.objectives import Objective
+from treefacility.network import LocationProfile, Point, TreeNetwork
+from treefacility.objectives import Objective, optimal_location
 from treefacility.verify import (
     BadOrderingError,
     BadParamsError,
@@ -130,6 +130,15 @@ class TestApproxRatio:
         assert rep.ratio is None
         assert rep.exact_zero
 
+    def test_coincident_agents_off_node_zero_have_exact_zero_optimum(self):
+        net = TreeNetwork(3, [(0, 1, 0.8250457278666711), (0, 2, 0.785969260382336)])
+        prof = profile(net, *[Point.at_node(1)] * 3)
+        _, cost = optimal_location(net, prof)
+        assert cost == 0.0
+        rep = approx_ratio(TreeMedian(), net, prof)
+        assert rep.ratio is None
+        assert rep.exact_zero
+
     def test_minimax_objective(self):
         net, resolve = line_with_coordinates([0.0, 4.0], extra_nodes=[1.0, 2.0, 3.0])
         prof = LocationProfile(net, [resolve(0.0), resolve(4.0)])
@@ -157,6 +166,22 @@ class TestRatioSearch:
         rep, _, _ = ratio_search(TreeMedian(), Objective.MINISOS, cfg,
                                  budget=80, seed=11)
         assert rep.ratio <= 2.0 + 1e-6
+
+    @pytest.mark.parametrize("mech", [TreeMedian(), RandomizedDGM(Q23)],
+                             ids=["median", "rdgm"])
+    def test_minisos_optimum_is_the_cost_at_its_point(self, mech):
+        # The CLI defaults with --max-nodes 20 --max-agents 12 --seed 3.
+        cfg = GeneratorConfig(max_nodes=20, min_agents=2, max_agents=12)
+        rep, net, prof = ratio_search(mech, Objective.MINISOS, cfg,
+                                      budget=100, seed=3)
+        at, cost = optimal_location(net, prof)
+        sos = sum(net.distance(at, x) ** 2 for x in prof)
+        # The hill climb can drive the optimum down to about 1e-9, so no
+        # absolute slack is allowed.
+        assert cost == pytest.approx(sos, rel=1e-12, abs=0.0)
+        assert rep.optimal_cost == pytest.approx(sos, rel=1e-12, abs=0.0)
+        if mech.name == "median":
+            assert rep.ratio <= 2.0 + 1e-9
 
     def test_bad_budget(self):
         cfg = GeneratorConfig()
