@@ -11,7 +11,6 @@ from .network import (
     Point,
     TreeNetwork,
     subdivide,
-    validate,
 )
 from .objectives import (
     LocationDistribution,

@@ -146,8 +146,6 @@ def build_parser():
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
-    p.add_argument("--plot", action="store_true",
-                   help="append instance-index scatter columns")
     _add_generator_args(p)
 
     p = sub.add_parser("search", help="adversarial worst-ratio search")
@@ -251,19 +249,14 @@ def cmd_boomerang_check(args):
 
 
 def cmd_ratio(args):
+    _check_budget(args)
     mech = parse_mechanism(args.mech)
     objective = Objective.parse(args.objective)
     rows = []
-    header = list(V.CSV_HEADER)
-    if args.plot:
-        header.append("instance_index")
-    for idx, (network, profile) in enumerate(_instances(args)):
+    for network, profile in _instances(args):
         rep = V.approx_ratio(mech, network, profile, objective)
-        row = V.csv_row(rep, mech.name, objective, args.seed)
-        if args.plot:
-            row.append(str(idx))
-        rows.append(row)
-    _write_csv(args.out, rows, header)
+        rows.append(V.csv_row(rep, mech.name, objective, args.seed))
+    _write_csv(args.out, rows)
     return 0
 
 
@@ -289,6 +282,7 @@ def cmd_search(args):
 
 
 def cmd_lemma_check(args):
+    _check_budget(args)
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.budget):

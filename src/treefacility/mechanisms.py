@@ -61,8 +61,15 @@ def _require_line(network):
         raise NotALineError("this mechanism is defined on line networks only")
 
 
-def _sorted_coords(network, profile):
-    return sorted(network.coordinate_of(x) for x in profile)
+def _sorted_agents(network, profile):
+    """(coordinate, agent point) pairs in line order."""
+    return sorted(((network.coordinate_of(x), x) for x in profile), key=lambda cx: cx[0])
+
+
+def _midpoint(network, a, b):
+    """Midpoint of two sorted agents; of two coincident agents, that agent."""
+    (ca, pa), (cb, pb) = a, b
+    return pa if pa == pb else network.point_at_coordinate(0.5 * (ca + cb))
 
 
 class Mechanism:
@@ -123,8 +130,7 @@ class KthLocation(Mechanism):
         k = n if self.k == "n" else self.k
         if k > n:
             raise IndexOutOfRangeError(f"order statistic {k} exceeds profile size {n}")
-        coords = _sorted_coords(network, profile)
-        return point_mass(network.point_at_coordinate(coords[k - 1]))
+        return point_mass(_sorted_agents(network, profile)[k - 1][1])
 
 
 class TreeMedian(Mechanism):
@@ -164,11 +170,11 @@ class DGM(Mechanism):
             raise IndexOutOfRangeError(
                 f"agent index {self.i} exceeds profile size {len(profile)}"
             )
-        aug, pmap, agent_nodes = _agent_context(network, profile)
+        aug, pmap, agent_nodes, below = _agent_context(network, profile)
         n = len(profile)
         num, den = self.q.numerator, self.q.denominator
         root = agent_nodes[self.i - 1]
-        stop = _descend(aug, agent_nodes, root, lambda count: count * den >= num * n)
+        stop = _descend(aug, below, root, lambda count: count * den >= num * n)
         return point_mass(pmap.to_original(Point.at_node(stop)))
 
 
@@ -205,12 +211,12 @@ class LRM(Mechanism):
 
     def run(self, network, profile):
         _require_line(network)
-        coords = _sorted_coords(network, profile)
-        lo, hi = coords[0], coords[-1]
+        agents = _sorted_agents(network, profile)
+        lo, hi = agents[0], agents[-1]
         return make_distribution([
-            (network.point_at_coordinate(lo), 0.25),
-            (network.point_at_coordinate(hi), 0.25),
-            (network.point_at_coordinate(0.5 * (lo + hi)), 0.5),
+            (lo[1], 0.25),
+            (hi[1], 0.25),
+            (_midpoint(network, lo, hi), 0.5),
         ])
 
 
@@ -249,13 +255,14 @@ class RandomizedDGM(Mechanism):
         self.name = f"rdgm:{q}"
 
     def member_points(self, network, profile):
-        """The n generalized-median outputs y_1..y_n (shared subdivision)."""
-        aug, pmap, agent_nodes = _agent_context(network, profile)
+        """The n generalized-median outputs y_1..y_n (shared subdivision and
+        agent counts)."""
+        aug, pmap, agent_nodes, below = _agent_context(network, profile)
         n = len(profile)
         num, den = self.q.numerator, self.q.denominator
         qualifies = lambda count: count * den >= num * n
         return [
-            pmap.to_original(Point.at_node(_descend(aug, agent_nodes, r, qualifies)))
+            pmap.to_original(Point.at_node(_descend(aug, below, r, qualifies)))
             for r in agent_nodes
         ]
 
@@ -282,13 +289,10 @@ class ConsecutiveMidpoints(Mechanism):
         n = len(profile)
         if n < 2:
             raise NeedTwoAgentsError("needs at least two agents")
-        coords = _sorted_coords(network, profile)
-        pairs = [
-            (network.point_at_coordinate(coords[0]), 0.5 / n),
-            (network.point_at_coordinate(coords[-1]), 0.5 / n),
-        ]
-        for a, b in zip(coords, coords[1:]):
-            pairs.append((network.point_at_coordinate(0.5 * (a + b)), 1.0 / n))
+        agents = _sorted_agents(network, profile)
+        pairs = [(agents[0][1], 0.5 / n), (agents[-1][1], 0.5 / n)]
+        for a, b in zip(agents, agents[1:]):
+            pairs.append((_midpoint(network, a, b), 1.0 / n))
         return make_distribution(pairs)
 
 

@@ -81,15 +81,31 @@ def point_sort_key(p: Point):
     return (1, p.edge, p.offset)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _parse_edge(edge):
+    """(u, v, length) from a raw edge entry, or NetworkError if malformed."""
+    if not (isinstance(edge, (list, tuple)) and len(edge) == 3
+            and _is_int(edge[0]) and _is_int(edge[1]) and _is_number(edge[2])):
+        raise NetworkError(f"edge {edge!r} must be [u, v, length] with integer ends and a numeric length")
+    return edge[0], edge[1], float(edge[2])
+
+
 class TreeNetwork:
     """An immutable weighted tree on nodes 0..node_count-1."""
 
-    __slots__ = ("node_count", "edges", "_adj", "_dist", "_line_coords")
+    __slots__ = ("node_count", "edges", "parent", "order", "_adj", "_dist", "_line_coords")
 
     def __init__(self, node_count: int, edges):
-        if not isinstance(node_count, int) or node_count < 1:
+        if not _is_int(node_count) or node_count < 1:
             raise BadNodeIdError(f"node_count must be a positive integer, got {node_count!r}")
-        edges = tuple((int(u), int(v), float(w)) for (u, v, w) in edges)
+        edges = tuple(_parse_edge(edge) for edge in edges)
         if len(edges) >= node_count:
             raise CyclicError(
                 f"{len(edges)} edges on {node_count} nodes: the graph contains a cycle or duplicate edge (a tree has node_count - 1 edges)"
@@ -113,26 +129,27 @@ class TreeNetwork:
             adj[u].append((v, idx))
             adj[v].append((u, idx))
         self._adj = adj
-        if len(edges) != node_count - 1:
-            raise DisconnectedError(
-                f"{len(edges)} edges cannot connect {node_count} nodes"
-            )
-        # Reachability check doubles as the distance-matrix build.
+        # Root the tree at node 0 once; the walk doubles as the
+        # connectivity check.  parent[0] is None.
+        parent = [None] * node_count
+        order = [0]
+        for u in order:
+            for v, _ in adj[u]:
+                if parent[v] is None and v != 0:
+                    parent[v] = u
+                    order.append(v)
+        if len(order) < node_count:
+            raise DisconnectedError(f"{len(edges)} edges do not connect {node_count} nodes")
+        self.parent = parent
+        self.order = order
         self._dist = None
         self._line_coords = None
-        if node_count > 1:
-            dist0 = self._bfs(0)
-            if any(d < 0 for d in dist0):
-                raise DisconnectedError("graph is not connected")
 
     # -- basic structure ----------------------------------------------------
 
     @property
     def adjacency(self):
         return self._adj
-
-    def degree(self, node: int) -> int:
-        return len(self._adj[node])
 
     def edge_length(self, edge_index: int) -> float:
         return self.edges[edge_index][2]
@@ -158,9 +175,6 @@ class TreeNetwork:
         if self._dist is None:
             self._dist = [self._bfs(s) for s in range(self.node_count)]
         return self._dist
-
-    def node_distance(self, u: int, v: int) -> float:
-        return self.node_distances()[u][v]
 
     # -- points -------------------------------------------------------------
 
@@ -233,24 +247,16 @@ class TreeNetwork:
         )
 
     def _node_path(self, a: int, b: int):
-        """Node ids along the unique path from a to b, inclusive."""
-        if a == b:
-            return [a]
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for v, _ in self._adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    stack.append(v)
-        out = [b]
-        while prev[out[-1]] is not None:
-            out.append(prev[out[-1]])
-        out.reverse()
-        return out
+        """Node ids along the unique path from a to b, inclusive: up from a
+        to the first ancestor it shares with b, then down to b."""
+        up = [a]
+        while up[-1] != 0:
+            up.append(self.parent[up[-1]])
+        up_index = {x: i for i, x in enumerate(up)}
+        down = [b]
+        while down[-1] not in up_index:
+            down.append(self.parent[down[-1]])
+        return up[:up_index[down[-1]]] + down[::-1]
 
     def path(self, a: Point, b: Point):
         """Points along the unique simple path from a to b.
@@ -351,20 +357,6 @@ class TreeNetwork:
             BranchId(anchor=p, toward=v, via_edge=p.edge),
         ]
 
-    def subtrees_at(self, p: Point, profile):
-        """Partition the profile's agents into the branches at p.
-
-        Returns a list of (BranchId, sorted agent index list); agents located
-        exactly at p appear in no branch.
-        """
-        self.check_point(p)
-        buckets = {b: [] for b in self.branches_at(p)}
-        for i, x in enumerate(profile.locations):
-            b = self.branch_of(p, x)
-            if b is not None:
-                buckets[b].append(i)
-        return [(b, members) for b, members in buckets.items()]
-
     # -- line helpers -------------------------------------------------------
 
     def is_line(self) -> bool:
@@ -464,17 +456,15 @@ class LocationProfile:
         return self.locations[i]
 
     def replace(self, network: TreeNetwork, i: int, p: Point) -> "LocationProfile":
+        """The profile with agent i at p; only p needs checking."""
         locs = list(self.locations)
-        locs[i] = p
-        return LocationProfile(network, locs)
+        locs[i] = network.check_point(p)
+        out = object.__new__(LocationProfile)
+        object.__setattr__(out, "locations", tuple(locs))
+        return out
 
     def to_json(self):
         return [p.to_json() for p in self.locations]
-
-
-def validate(node_count, edges) -> TreeNetwork:
-    """Validate raw node/edge lists into an immutable TreeNetwork."""
-    return TreeNetwork(node_count, edges)
 
 
 # -- subdivision -----------------------------------------------------------
@@ -563,22 +553,29 @@ def subdivide(network: TreeNetwork, anchors) -> tuple[TreeNetwork, PointMap]:
 def network_from_json(doc) -> TreeNetwork:
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise NetworkError("tree document must have 'nodes' and 'edges'")
-    return validate(doc["nodes"], doc["edges"])
+    if not isinstance(doc["edges"], list):
+        raise NetworkError("'edges' must be a list of [u, v, length] entries")
+    return TreeNetwork(doc["nodes"], doc["edges"])
 
 
 def point_from_json(network: TreeNetwork, doc, where="point") -> Point:
     if isinstance(doc, dict) and "node" in doc:
-        return network.point_at_node(doc["node"])
+        i = doc["node"]
+        if not _is_int(i):
+            raise PointInvalidError(f"{where}: node id {i!r} is not an integer")
+        return network.point_at_node(i)
     if isinstance(doc, dict) and "edge" in doc:
         e, t = doc["edge"], doc.get("offset")
+        if not _is_int(e):
+            raise PointInvalidError(f"{where}: edge id {e!r} is not an integer")
         if not (0 <= e < len(network.edges)):
             raise PointInvalidError(f"{where}: edge index {e} out of range")
         w = network.edges[e][2]
-        if t is None or not (0.0 < t < w):
+        if not _is_number(t) or not (0.0 < t < w):
             raise PointInvalidError(
-                f"{where}: offset {t} must lie strictly inside (0, {w})"
+                f"{where}: offset {t!r} must lie strictly inside (0, {w})"
             )
-        return Point(edge=e, offset=float(t))
+        return network.point_on_edge(e, t)
     raise PointInvalidError(f"{where}: expected {{'node': id}} or {{'edge': e, 'offset': t}}")
 
 

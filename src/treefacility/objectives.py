@@ -209,32 +209,36 @@ def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
 
 
 def _agent_context(network, profile):
-    """Subdivide at agent locations so every agent sits at a node."""
+    """Subdivide at agent locations so every agent sits at a node, and count
+    the agents at or below every node of the subdivided tree rooted at 0."""
     aug, pmap = subdivide(network, list(profile))
     agent_nodes = [pmap.to_augmented(x).node for x in profile]
-    return aug, pmap, agent_nodes
+    below = [0] * aug.node_count
+    for a in agent_nodes:
+        below[a] += 1
+    for v in reversed(aug.order[1:]):
+        below[aug.parent[v]] += below[v]
+    return aug, pmap, agent_nodes, below
 
 
-def _descend(aug, agent_nodes, root, qualifies):
+def _descend(aug, below, root, qualifies):
     """Walk from the root into any branch whose agent count qualifies.
 
-    With thresholds above n/2 at most one branch can qualify, so the walk is
-    deterministic; it stops at the first node where no branch qualifies.
+    ``below`` holds the agents at or below each node (see _agent_context):
+    a child branch w of node a holds below[w] agents, and the branch toward
+    a's parent holds the other n - below[a].  With thresholds above n/2 at
+    most one branch can qualify, so the walk is deterministic; it stops at
+    the first node where no branch qualifies.
     """
-    dm = aug.node_distances()
-    adj = aug.adjacency
+    n = below[0]
+    parent = aug.parent
     a = root
     while True:
-        da = dm[a]
-        moved = False
-        for w, _ in adj[a]:
-            dw = dm[w]
-            count = sum(1 for x in agent_nodes if dw[x] < da[x])
-            if qualifies(count):
+        for w, _ in aug.adjacency[a]:
+            if qualifies(below[w] if parent[w] == a else n - below[a]):
                 a = w
-                moved = True
                 break
-        if not moved:
+        else:
             return a
 
 
@@ -242,9 +246,9 @@ def median_point(network: TreeNetwork, profile) -> Point:
     """Descend from node 0 into any branch holding strictly more than half
     the agents.  The stop minimizes the sum of distances; among ties it is
     the minimizer closest to node 0."""
-    aug, pmap, agent_nodes = _agent_context(network, profile)
-    n = len(agent_nodes)
-    stop = _descend(aug, agent_nodes, 0, lambda count: 2 * count > n)
+    aug, pmap, _, below = _agent_context(network, profile)
+    n = len(profile)
+    stop = _descend(aug, below, 0, lambda count: 2 * count > n)
     return pmap.to_original(Point.at_node(stop))
 
 

@@ -127,6 +127,31 @@ class TestCLI:
         assert code == 2
         assert "cycle" in err.lower() or "cyclic" in err.lower()
 
+    @pytest.mark.parametrize("edges, location", [
+        ([[0, 1, 1.0]], {"node": "1"}),
+        ([[0, 1]], {"node": 1}),
+        ([[0, 1, "1.0"]], {"node": 1}),
+        ([[0.5, 1, 1.0]], {"node": 1}),
+        ([[0, 1, 1.0]], {"edge": "0", "offset": 0.5}),
+        ([[0, 1, 1.0]], {"edge": 0, "offset": "0.5"}),
+    ], ids=["string-node", "two-field-edge", "string-length", "float-edge-end",
+            "string-edge", "string-offset"])
+    def test_eval_malformed_instance_exit_2(self, tmp_path, capsys, edges, location):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"network": {"nodes": 2, "edges": edges},
+                                    "locations": [{"node": 0}, location]}))
+        code = cli.main(["eval", "--mech", "median", "--instance", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_eval_near_endpoint_offset_is_the_node(self, tmp_path, capsys):
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps({"network": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+                                    "locations": [{"node": 0}, {"edge": 0, "offset": 1e-13}]}))
+        code = cli.main(["eval", "--mech", "median", "--instance", str(path)])
+        assert code == 0
+        assert "opt: 0\n" in capsys.readouterr().out
+
     def test_eval_bad_mech_exit_2(self, two_agents_file, capsys):
         code = cli.main(["eval", "--mech", "bogus", "--instance", two_agents_file])
         assert code == 2
@@ -184,9 +209,11 @@ class TestCLI:
         assert code == 0
         assert "worst ratio" in out
 
-    @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
+    @pytest.mark.parametrize("command", ["sp-check", "boomerang-check", "ratio",
+                                         "lemma-check"])
     def test_zero_budget_exit_2(self, command, capsys):
-        code = cli.main([command, "--mech", "median", "--budget", "0"])
+        subject = ["--kind", "flattening"] if command == "lemma-check" else ["--mech", "median"]
+        code = cli.main([command, *subject, "--budget", "0"])
         assert code == 2
         assert "budget" in capsys.readouterr().err
 

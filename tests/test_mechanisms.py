@@ -24,7 +24,7 @@ from treefacility.mechanisms import (
     TreeMedian,
     parse_mechanism,
 )
-from treefacility.network import Point
+from treefacility.network import LocationProfile, Point, subdivide
 from treefacility.objectives import expected_social_cost, optimal_location
 
 from conftest import assert_dist_close, line_net, profile, star_net
@@ -120,6 +120,61 @@ class TestDGM:
             DGM(1, Fraction(1, 2))
         with pytest.raises(QOutOfRangeError):
             DGM(1, Fraction(1, 3))
+
+
+def reference_walk(net, prof, root_agent, qualifies):
+    """The generalized-median walk by distance comparison: agent x lies in
+    the branch toward neighbour w of a exactly when d(w, x) < d(a, x) on the
+    tree subdivided at every agent.  Starts at node 0 when root_agent is None."""
+    aug, pmap = subdivide(net, list(prof))
+    agent_nodes = [pmap.to_augmented(x).node for x in prof]
+    dm = aug.node_distances()
+    a = 0 if root_agent is None else agent_nodes[root_agent]
+    while True:
+        da = dm[a]
+        for w, _ in aug.adjacency[a]:
+            dw = dm[w]
+            if qualifies(sum(1 for x in agent_nodes if dw[x] < da[x])):
+                a = w
+                break
+        else:
+            return pmap.to_original(Point.at_node(a))
+
+
+class TestGeneralizedMedianWalk:
+    """The subtree-count walk agrees with the distance-comparison walk."""
+
+    @staticmethod
+    def instances():
+        for topology in ("line", "star", "caterpillar", "random_tree"):
+            for placement in ("anywhere", "nodes_only"):
+                cfg = GeneratorConfig(topology=topology, placement=placement, min_nodes=1,
+                                      max_nodes=12, min_agents=1, max_agents=8, seed=47)
+                for k, (net, prof) in enumerate(generate(cfg, 12)):
+                    yield net, prof
+                    # The first agent repeated: coincident, often interior, agents.
+                    yield net, LocationProfile(net, list(prof) + [prof[0]] * (1 + k % 3))
+
+    def test_median_and_dgm(self):
+        for net, prof in self.instances():
+            n = len(prof)
+            assert TreeMedian().point(net, prof) == reference_walk(
+                net, prof, None, lambda c: 2 * c > n)
+            for q in (Fraction(3, 5), Q23, Fraction(1)):
+                for i in sorted({1, 2, n}):
+                    if i > n:
+                        continue
+                    expected = reference_walk(
+                        net, prof, i - 1, lambda c: c * q.denominator >= q.numerator * n)
+                    assert DGM(i, q).point(net, prof) == expected
+
+    def test_rdgm_members(self):
+        for net, prof in self.instances():
+            n = len(prof)
+            expected = [
+                reference_walk(net, prof, r, lambda c: 3 * c >= 2 * n) for r in range(n)
+            ]
+            assert RandomizedDGM(Q23).member_points(net, prof) == expected
 
 
 class TestPB:

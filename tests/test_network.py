@@ -16,7 +16,6 @@ from treefacility.network import (
     point_from_json,
     profile_from_json,
     subdivide,
-    validate,
 )
 
 from conftest import line_net, profile, star_net
@@ -24,34 +23,34 @@ from conftest import line_net, profile, star_net
 
 class TestValidate:
     def test_smallest_tree(self):
-        net = validate(2, [(0, 1, 1.0)])
+        net = TreeNetwork(2, [(0, 1, 1.0)])
         assert net.node_count == 2
         assert net.total_length() == 1.0
 
     def test_triangle_is_cyclic(self):
         with pytest.raises(CyclicError):
-            validate(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+            TreeNetwork(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
     def test_missing_edge_is_disconnected(self):
         with pytest.raises(DisconnectedError):
-            validate(3, [(0, 1, 1)])
+            TreeNetwork(3, [(0, 1, 1)])
 
     def test_right_edge_count_wrong_wiring(self):
         with pytest.raises((CyclicError, DisconnectedError)):
-            validate(4, [(0, 1, 1), (0, 1, 2), (2, 3, 1)])
+            TreeNetwork(4, [(0, 1, 1), (0, 1, 2), (2, 3, 1)])
 
     def test_nonpositive_length(self):
         with pytest.raises(NonPositiveLengthError):
-            validate(2, [(0, 1, 0.0)])
+            TreeNetwork(2, [(0, 1, 0.0)])
         with pytest.raises(NonPositiveLengthError):
-            validate(2, [(0, 1, -3.0)])
+            TreeNetwork(2, [(0, 1, -3.0)])
 
     def test_bad_node_id(self):
         with pytest.raises(Exception):
-            validate(2, [(0, 5, 1.0)])
+            TreeNetwork(2, [(0, 5, 1.0)])
 
     def test_single_node(self):
-        net = validate(1, [])
+        net = TreeNetwork(1, [])
         assert net.node_count == 1
 
 
@@ -115,35 +114,61 @@ class TestPath:
             total = sum(net.distance(p, q) for p, q in zip(pts, pts[1:]))
             assert total == pytest.approx(net.distance(a, b), abs=1e-12)
 
+    def test_node_paths_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for topology in ("line", "star", "caterpillar", "random_tree"):
+            cfg = GeneratorConfig(topology=topology, min_nodes=1, max_nodes=12, seed=31)
+            for net, _ in generate(cfg, 5):
+                g = nx.Graph()
+                g.add_nodes_from(range(net.node_count))
+                g.add_edges_from((u, v) for u, v, _ in net.edges)
+                # Every ordered pair: a == b, and node 0 with every other
+                # node as an ancestor/descendant pair of the rooted tree.
+                for a in range(net.node_count):
+                    for b in range(net.node_count):
+                        pts = net.path(Point.at_node(a), Point.at_node(b))
+                        assert [p.node for p in pts] == nx.shortest_path(g, a, b)
+
     def test_point_along_path(self, unit_line3):
         a, b = Point.at_node(0), Point.at_node(2)
         mid = unit_line3.point_along_path(a, b, 1.5)
         assert unit_line3.distance(a, mid) == pytest.approx(1.5, abs=1e-12)
 
 
+def subtrees_at(net, p, prof):
+    """Partition the profile's agents into the branches at p, as a list of
+    (BranchId, agent indices); agents located exactly at p are in none."""
+    buckets = {b: [] for b in net.branches_at(p)}
+    for i, x in enumerate(prof):
+        b = net.branch_of(p, x)
+        if b is not None:
+            buckets[b].append(i)
+    return list(buckets.items())
+
+
 class TestSubtrees:
     def test_line_split(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
-        parts = unit_line3.subtrees_at(Point.at_node(1), prof)
+        parts = subtrees_at(unit_line3, Point.at_node(1), prof)
         sizes = sorted(len(members) for _, members in parts)
         assert sizes == [1, 1]
 
     def test_star_center(self):
         star = star_net(3)
         prof = profile(star, *[Point.at_node(i) for i in (1, 2, 3)])
-        parts = star.subtrees_at(Point.at_node(0), prof)
+        parts = subtrees_at(star, Point.at_node(0), prof)
         assert sorted(len(m) for _, m in parts) == [1, 1, 1]
 
     def test_agent_at_anchor_in_no_branch(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(1), Point.at_node(2))
-        parts = unit_line3.subtrees_at(Point.at_node(1), prof)
+        parts = subtrees_at(unit_line3, Point.at_node(1), prof)
         assigned = [i for _, members in parts for i in members]
         assert assigned == [1]
 
     def test_interior_anchor_two_branches(self, unit_line3):
         p = unit_line3.point_on_edge(0, 0.5)
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
-        parts = unit_line3.subtrees_at(p, prof)
+        parts = subtrees_at(unit_line3, p, prof)
         assert len(parts) == 2
         assert sorted(len(m) for _, m in parts) == [1, 1]
 
@@ -151,7 +176,7 @@ class TestSubtrees:
         cfg = GeneratorConfig(max_nodes=12, max_agents=8, seed=3)
         for net, prof in generate(cfg, 10):
             p = random_point(rng, net)
-            parts = net.subtrees_at(p, prof)
+            parts = subtrees_at(net, p, prof)
             assigned = sorted(i for _, members in parts for i in members)
             expected = [i for i, x in enumerate(prof) if x != p]
             assert assigned == expected
@@ -188,6 +213,18 @@ class TestSubdivide:
             q = pmap.to_augmented(p)
             assert q.is_node
             assert pmap.to_original(q) == p
+
+
+class TestProfile:
+    def test_replace_checks_the_new_point(self, unit_line3):
+        prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
+        with pytest.raises(PointInvalidError):
+            prof.replace(unit_line3, 1, Point(edge=0, offset=5.0))
+        with pytest.raises(PointInvalidError):
+            prof.replace(unit_line3, 0, Point.at_node(7))
+        moved = prof.replace(unit_line3, 1, Point.at_node(1))
+        assert list(moved) == [Point.at_node(0), Point.at_node(1)]
+        assert list(prof) == [Point.at_node(0), Point.at_node(2)]
 
 
 class TestLineHelpers:

@@ -183,6 +183,13 @@ class TestRatioSearch:
         if mech.name == "median":
             assert rep.ratio <= 2.0 + 1e-9
 
+    def test_lrm_minimax_search_stays_at_its_bound(self):
+        # LRM's extremes are the agents' own points, so the hill climb finds
+        # no rounding error above 1.5 to chase.
+        cfg = GeneratorConfig(topology="line", max_nodes=20, min_agents=2, max_agents=12)
+        rep, _, _ = ratio_search(LRM(), Objective.MINIMAX, cfg, budget=200, seed=1184)
+        assert rep.ratio == pytest.approx(1.5, rel=0.0, abs=1e-11)
+
     def test_bad_budget(self):
         cfg = GeneratorConfig()
         with pytest.raises(BadParamsError):
