@@ -46,7 +46,7 @@ RDGM_BOUND = 1.83
 USAGE_ERRORS = (
     NetworkError, PointInvalidError, MechanismError, BadConfigError,
     WeightInvalidError, DistributionInvalidError, V.BadParamsError,
-    V.BadOrderingError, json.JSONDecodeError, OSError,
+    V.BadOrderingError, V.NotDeterministicError, json.JSONDecodeError, OSError,
 )
 
 
@@ -71,6 +71,12 @@ def _bound_for(mechanism_name, objective, topology):
 def _check_budget(args):
     if args.budget < 1:
         raise V.BadParamsError("budget must be >= 1")
+
+
+def _check_tolerance(args):
+    # A NaN tolerance would pass every check: no regret compares above it.
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise V.BadParamsError(f"tolerance must be finite and >= 0, got {args.tolerance}")
 
 
 def _generator_config(args):
@@ -216,6 +222,7 @@ def _instances(args):
 
 def cmd_sp_check(args):
     _check_budget(args)
+    _check_tolerance(args)
     mech = parse_mechanism(args.mech)
     worst = None
     for network, profile in _instances(args):
@@ -233,6 +240,7 @@ def cmd_sp_check(args):
 
 def cmd_boomerang_check(args):
     _check_budget(args)
+    _check_tolerance(args)
     mech = parse_mechanism(args.mech)
     worst = None
     for network, profile in _instances(args):

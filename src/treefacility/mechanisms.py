@@ -77,7 +77,6 @@ class Mechanism:
 
     name = "mechanism"
     boomerang = False  # known member of the deterministic boomerang family
-    deterministic = False
 
     def run(self, network: TreeNetwork, profile: LocationProfile) -> LocationDistribution:
         raise NotImplementedError
@@ -86,16 +85,12 @@ class Mechanism:
         """Output location of a deterministic mechanism."""
         return self.run(network, profile).the_point()
 
-    def __call__(self, network, profile):
-        return self.run(network, profile)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
 
 class Dictator(Mechanism):
     boomerang = True
-    deterministic = True
 
     def __init__(self, i: int):
         if i < 1:
@@ -116,7 +111,6 @@ class KthLocation(Mechanism):
     rightmost agent."""
 
     boomerang = True
-    deterministic = True
 
     def __init__(self, k):
         if k != "n" and (not isinstance(k, int) or k < 1):
@@ -138,7 +132,6 @@ class TreeMedian(Mechanism):
     the agents; stop when none does."""
 
     boomerang = True
-    deterministic = True
     name = "median"
 
     def run(self, network, profile):
@@ -147,13 +140,22 @@ class TreeMedian(Mechanism):
         return point_mass(median_point(network, profile))
 
 
+def _generalized_medians(network, profile, q, roots):
+    """For each agent index in roots, the stop of the walk from that agent's
+    location into any branch holding at least fraction q of the agents
+    (one subdivision and one set of agent counts for all of them)."""
+    aug, origin, agent_nodes, below = _agent_context(network, profile)
+    num, den, n = q.numerator, q.denominator, len(profile)
+    qualifies = lambda count: count * den >= num * n
+    return [origin[_descend(aug, below, agent_nodes[i], qualifies)] for i in roots]
+
+
 class DGM(Mechanism):
     """Dictatorial generalized median: root at agent i's report and descend
     into any branch holding at least fraction q of the agents (q > 1/2, so at
     most one branch ever qualifies)."""
 
     boomerang = True
-    deterministic = True
 
     def __init__(self, i: int, q: Fraction):
         q = Fraction(q)
@@ -170,12 +172,15 @@ class DGM(Mechanism):
             raise IndexOutOfRangeError(
                 f"agent index {self.i} exceeds profile size {len(profile)}"
             )
-        aug, pmap, agent_nodes, below = _agent_context(network, profile)
-        n = len(profile)
-        num, den = self.q.numerator, self.q.denominator
-        root = agent_nodes[self.i - 1]
-        stop = _descend(aug, below, root, lambda count: count * den >= num * n)
-        return point_mass(pmap.to_original(Point.at_node(stop)))
+        return point_mass(_generalized_medians(network, profile, self.q, [self.i - 1])[0])
+
+
+def _compose(network, ys, weights):
+    """The paper's composition: each y_i with probability w_i / 2, and the
+    weighted average of the y_i with probability 1/2."""
+    pairs = [(y, 0.5 * w) for y, w in zip(ys, weights)]
+    pairs.append((weighted_average(network, ys, weights), 0.5))
+    return make_distribution(pairs)
 
 
 class PB(Mechanism):
@@ -198,10 +203,7 @@ class PB(Mechanism):
 
     def run(self, network, profile):
         ys = [m.point(network, profile) for m in self.members]
-        avg = weighted_average(network, ys, self.weights)
-        pairs = [(y, 0.5 * w) for y, w in zip(ys, self.weights)]
-        pairs.append((avg, 0.5))
-        return make_distribution(pairs)
+        return _compose(network, ys, self.weights)
 
 
 class LRM(Mechanism):
@@ -255,27 +257,14 @@ class RandomizedDGM(Mechanism):
         self.name = f"rdgm:{q}"
 
     def member_points(self, network, profile):
-        """The n generalized-median outputs y_1..y_n (shared subdivision and
-        agent counts)."""
-        aug, pmap, agent_nodes, below = _agent_context(network, profile)
-        n = len(profile)
-        num, den = self.q.numerator, self.q.denominator
-        qualifies = lambda count: count * den >= num * n
-        return [
-            pmap.to_original(Point.at_node(_descend(aug, below, r, qualifies)))
-            for r in agent_nodes
-        ]
+        """The n generalized-median outputs y_1..y_n."""
+        return _generalized_medians(network, profile, self.q, range(len(profile)))
 
     def run(self, network, profile):
         n = len(profile)
         if n == 0:
             raise EmptyInputError("profile is empty")
-        ys = self.member_points(network, profile)
-        weights = [1.0 / n] * n
-        avg = weighted_average(network, ys, weights)
-        pairs = [(y, 0.5 / n) for y in ys]
-        pairs.append((avg, 0.5))
-        return make_distribution(pairs)
+        return _compose(network, self.member_points(network, profile), [1.0 / n] * n)
 
 
 class ConsecutiveMidpoints(Mechanism):
@@ -323,7 +312,6 @@ class AverageOnly(Mechanism):
     the negative control for the checkers."""
 
     name = "avg-only"
-    deterministic = True
 
     def run(self, network, profile):
         point, _ = optimal_location(network, profile, Objective.MINISOS)

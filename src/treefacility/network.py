@@ -100,7 +100,8 @@ def _parse_edge(edge):
 class TreeNetwork:
     """An immutable weighted tree on nodes 0..node_count-1."""
 
-    __slots__ = ("node_count", "edges", "parent", "order", "_adj", "_dist", "_line_coords")
+    __slots__ = ("node_count", "edges", "parent", "parent_edge", "order", "_adj", "_dist",
+                 "_line_coords")
 
     def __init__(self, node_count: int, edges):
         if not _is_int(node_count) or node_count < 1:
@@ -122,6 +123,9 @@ class TreeNetwork:
             seen.add(key)
             if not (w > 0.0) or w != w or w == float("inf"):
                 raise NonPositiveLengthError(f"edge ({u}, {v}) has non-positive length {w}")
+        total = sum(w for _, _, w in edges)
+        if total * total == float("inf"):
+            raise NetworkError(f"total edge length {total:g} is too large: its square overflows")
         self.node_count = node_count
         self.edges = edges
         adj = [[] for _ in range(node_count)]
@@ -130,17 +134,20 @@ class TreeNetwork:
             adj[v].append((u, idx))
         self._adj = adj
         # Root the tree at node 0 once; the walk doubles as the
-        # connectivity check.  parent[0] is None.
+        # connectivity check.  parent[0] and parent_edge[0] are None.
         parent = [None] * node_count
+        parent_edge = [None] * node_count
         order = [0]
         for u in order:
-            for v, _ in adj[u]:
+            for v, e in adj[u]:
                 if parent[v] is None and v != 0:
                     parent[v] = u
+                    parent_edge[v] = e
                     order.append(v)
         if len(order) < node_count:
             raise DisconnectedError(f"{len(edges)} edges do not connect {node_count} nodes")
         self.parent = parent
+        self.parent_edge = parent_edge
         self.order = order
         self._dist = None
         self._line_coords = None
@@ -150,9 +157,6 @@ class TreeNetwork:
     @property
     def adjacency(self):
         return self._adj
-
-    def edge_length(self, edge_index: int) -> float:
-        return self.edges[edge_index][2]
 
     def total_length(self) -> float:
         return sum(w for _, _, w in self.edges)
@@ -284,6 +288,22 @@ class TreeNetwork:
             pts = pts + [b]
         return pts
 
+    def _edge_of(self, p: Point, q: Point) -> int:
+        """The edge carrying two consecutive points of a path."""
+        if not p.is_node:
+            return p.edge
+        if not q.is_node:
+            return q.edge
+        a, b = p.node, q.node
+        return self.parent_edge[b] if self.parent[b] == a else self.parent_edge[a]
+
+    def _offset_on(self, e: int, p: Point) -> float:
+        """Offset of p from endpoint u of edge e; p lies on e or at one of its ends."""
+        if not p.is_node:
+            return p.offset
+        u, _, w = self.edges[e]
+        return 0.0 if p.node == u else w
+
     def point_along_path(self, a: Point, b: Point, dist: float) -> Point:
         """The point at the given distance from a along path(a, b)."""
         total = self.distance(a, b)
@@ -292,55 +312,26 @@ class TreeNetwork:
         pts = self.path(a, b)
         acc = 0.0
         for p, q in zip(pts, pts[1:]):
-            seg = self.distance(p, q)
+            e = self._edge_of(p, q)
+            start, end = self._offset_on(e, p), self._offset_on(e, q)
+            seg = abs(end - start)
             if acc + seg >= dist - 1e-12:
                 t = dist - acc
-                # Locate the edge carrying segment p-q.
-                if p.is_node and q.is_node:
-                    for v, e in self._adj[p.node]:
-                        if v == q.node:
-                            eu = self.edges[e][0]
-                            off = t if eu == p.node else self.edges[e][2] - t
-                            return self.point_on_edge(e, off)
-                e = q.edge if p.is_node else p.edge
-                u, _, w = self.edges[e]
-                start = 0.0 if (p.is_node and p.node == u) else (
-                    p.offset if not p.is_node else w
-                )
-                endward = 1.0
-                if not q.is_node:
-                    endward = 1.0 if q.offset >= start else -1.0
-                elif q.node == u:
-                    endward = -1.0
-                return self.point_on_edge(e, start + endward * t)
+                return self.point_on_edge(e, start + t if end >= start else start - t)
             acc += seg
         return pts[-1]
 
     # -- subtree decomposition ---------------------------------------------
 
     def branch_of(self, p: Point, x: Point):
-        """Identify the branch of T(G, p) containing x, as a BranchId.
-
-        Returns None when x coincides with p.
-        """
+        """The branch of T(G, p) containing x, as a BranchId; None when x
+        coincides with p."""
         if x == p:
             return None
-        pts = self.path(p, x)
-        step = pts[1]
-        if step.is_node:
-            if p.is_node:
-                for v, e in self._adj[p.node]:
-                    if v == step.node:
-                        return BranchId(anchor=p, toward=step.node, via_edge=e)
-                raise PointInvalidError("path step not adjacent to anchor")
-            return BranchId(anchor=p, toward=step.node, via_edge=p.edge)
-        # First step lands inside an edge.
-        e = step.edge
+        step = self.path(p, x)[1]
+        e = self._edge_of(p, step)
         u, v, _ = self.edges[e]
-        if p.is_node:
-            toward = v if p.node == u else u
-            return BranchId(anchor=p, toward=toward, via_edge=e)
-        toward = u if step.offset < p.offset else v
+        toward = u if self._offset_on(e, step) < self._offset_on(e, p) else v
         return BranchId(anchor=p, toward=toward, via_edge=e)
 
     def branches_at(self, p: Point):
@@ -470,81 +461,32 @@ class LocationProfile:
 # -- subdivision -----------------------------------------------------------
 
 
-class PointMap:
-    """Invertible mapping between a network and its subdivision."""
+def subdivide(network: TreeNetwork, anchors):
+    """Insert every anchor point as a node; distances are preserved exactly.
 
-    def __init__(self, original, augmented, edge_breaks, node_origin):
-        self.original = original
-        self.augmented = augmented
-        # edge_breaks[e] = list of (offset, aug_node, aug_edge_before_next)
-        self._breaks = edge_breaks
-        self._node_origin = node_origin  # aug node -> original Point
-
-    def to_augmented(self, p: Point) -> Point:
-        if p.is_node:
-            return p
-        offs = self._breaks[p.edge]
-        for i, (off, node, seg_edge) in enumerate(offs):
-            if abs(p.offset - off) <= ENDPOINT_SNAP:
-                return Point.at_node(node)
-            if p.offset < off:
-                prev_off, _, seg = offs[i - 1]
-                return self.augmented.point_on_edge(seg, p.offset - prev_off)
-        raise PointInvalidError(f"offset {p.offset} beyond edge {p.edge}")
-
-    def to_original(self, p: Point) -> Point:
-        if p.is_node:
-            orig = self._node_origin[p.node]
-            return orig
-        # Interior of an augmented segment: shift back by the segment start.
-        e_orig, start = self._seg_origin[p.edge]
-        return self.original.point_on_edge(e_orig, start + p.offset)
-
-    @property
-    def _seg_origin(self):
-        # aug edge index -> (original edge, start offset); built lazily.
-        if not hasattr(self, "_seg_origin_cache"):
-            cache = {}
-            for e, breaks in enumerate(self._breaks):
-                for off, _, seg in breaks[:-1]:
-                    cache[seg] = (e, off)
-            self._seg_origin_cache = cache
-        return self._seg_origin_cache
-
-
-def subdivide(network: TreeNetwork, anchors) -> tuple[TreeNetwork, PointMap]:
-    """Insert every anchor point as a node; distances are preserved exactly."""
+    Returns (augmented, anchor_nodes, origin): anchors[k] sits at augmented
+    node anchor_nodes[k], and origin[v] is the original Point of augmented
+    node v.  An interior anchor within ENDPOINT_SNAP of the previous kept
+    offset on its edge shares that offset's node.
+    """
+    anchor_nodes = [p.node for p in anchors]  # interior anchors filled in below
     interior = [[] for _ in network.edges]
-    for p in anchors:
+    for k, p in enumerate(anchors):
         network.check_point(p)
         if not p.is_node:
-            interior[p.edge].append(p.offset)
-    next_node = network.node_count
+            interior[p.edge].append((p.offset, k))
+    origin = [Point.at_node(i) for i in range(network.node_count)]
     new_edges = []
-    edge_breaks = []
-    node_origin = {i: Point.at_node(i) for i in range(network.node_count)}
     for e, (u, v, w) in enumerate(network.edges):
-        offs = sorted(set(interior[e]))
-        merged = []
-        for off in offs:
-            if merged and off - merged[-1] <= ENDPOINT_SNAP:
-                continue
-            merged.append(off)
-        breaks = [(0.0, u, None)]
-        for off in merged:
-            node_origin[next_node] = Point(edge=e, offset=off)
-            breaks.append((off, next_node, None))
-            next_node += 1
-        breaks.append((w, v, None))
-        rows = []
-        for (o1, n1, _), (o2, n2, _) in zip(breaks, breaks[1:]):
-            seg_idx = len(new_edges)
-            new_edges.append((n1, n2, o2 - o1))
-            rows.append((o1, n1, seg_idx))
-        rows.append((w, v, None))
-        edge_breaks.append(rows)
-    augmented = TreeNetwork(next_node, new_edges)
-    return augmented, PointMap(network, augmented, edge_breaks, node_origin)
+        prev, at = u, 0.0  # last node placed along the edge, and its offset
+        for off, k in sorted(interior[e]):
+            if prev == u or off - at > ENDPOINT_SNAP:
+                new_edges.append((prev, len(origin), off - at))
+                prev, at = len(origin), off
+                origin.append(Point(edge=e, offset=off))
+            anchor_nodes[k] = prev
+        new_edges.append((prev, v, w - at))
+    return TreeNetwork(len(origin), new_edges), anchor_nodes, origin
 
 
 # -- file formats ----------------------------------------------------------

@@ -210,15 +210,16 @@ def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
 
 def _agent_context(network, profile):
     """Subdivide at agent locations so every agent sits at a node, and count
-    the agents at or below every node of the subdivided tree rooted at 0."""
-    aug, pmap = subdivide(network, list(profile))
-    agent_nodes = [pmap.to_augmented(x).node for x in profile]
+    the agents at or below every node of the subdivided tree rooted at 0.
+    Returns (aug, origin, agent_nodes, below); origin[v] is the original
+    point of node v of aug."""
+    aug, agent_nodes, origin = subdivide(network, list(profile))
     below = [0] * aug.node_count
     for a in agent_nodes:
         below[a] += 1
     for v in reversed(aug.order[1:]):
         below[aug.parent[v]] += below[v]
-    return aug, pmap, agent_nodes, below
+    return aug, origin, agent_nodes, below
 
 
 def _descend(aug, below, root, qualifies):
@@ -246,10 +247,9 @@ def median_point(network: TreeNetwork, profile) -> Point:
     """Descend from node 0 into any branch holding strictly more than half
     the agents.  The stop minimizes the sum of distances; among ties it is
     the minimizer closest to node 0."""
-    aug, pmap, _, below = _agent_context(network, profile)
+    aug, origin, _, below = _agent_context(network, profile)
     n = len(profile)
-    stop = _descend(aug, below, 0, lambda count: 2 * count > n)
-    return pmap.to_original(Point.at_node(stop))
+    return origin[_descend(aug, below, 0, lambda count: 2 * count > n)]
 
 
 def _minimax_point(network, locations):

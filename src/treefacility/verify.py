@@ -27,6 +27,7 @@ from .objectives import (
 
 SP_TOL = 1e-7
 IDENTITY_TOL = 1e-9
+HILL_ITERATIONS = 200  # local-search moves after the random phase of ratio_search
 
 
 class NotDeterministicError(ValueError):
@@ -42,10 +43,6 @@ class BadParamsError(ValueError):
 
 
 class HypothesisViolatedError(ValueError):
-    pass
-
-
-class DegenerateOptimumError(ValueError):
     pass
 
 
@@ -200,8 +197,7 @@ def _perturb_point(rng, network, point, step) -> Point:
 
 
 def ratio_search(mechanism: Mechanism, objective: Objective,
-                 config: GeneratorConfig, budget: int, seed: int,
-                 hill_iterations: int = 200):
+                 config: GeneratorConfig, budget: int, seed: int):
     """Worst approximation ratio over random instances plus local search.
 
     Deterministic given the seed.  Returns (RatioReport, network, profile)
@@ -221,7 +217,7 @@ def ratio_search(mechanism: Mechanism, objective: Objective,
     rep, network, profile = worst
     rng = random.Random(seed ^ 0x9E3779B9)
     step = max(w for _, _, w in network.edges) / 4 if network.edges else 0.0
-    for _ in range(hill_iterations):
+    for _ in range(HILL_ITERATIONS):
         if step <= 1e-12:
             break
         i = rng.randrange(len(profile))
@@ -237,8 +233,7 @@ def ratio_search(mechanism: Mechanism, objective: Objective,
 # -- necessary-condition tests (coordinated-arrival inequalities) -----------
 
 
-def immigrants_check(mechanism: Mechanism, a: float, b: float, c: float,
-                     n: int, tolerance: float = SP_TOL):
+def immigrants_check(mechanism: Mechanism, a: float, b: float, c: float, n: int):
     """SP necessary conditions over the two-block profiles with n-m agents at
     a and m agents at c (or b).  Violations certify non-strategyproofness.
 
@@ -260,7 +255,7 @@ def immigrants_check(mechanism: Mechanism, a: float, b: float, c: float,
         b_from_m = expected_agent_cost(network, dm, pb)
         b_from_0 = expected_agent_cost(network, d0, pb)
         rows.append((m, c_from_0, c_from_m, b_from_m, b_from_0))
-        if c_from_0 > c_from_m + tolerance or b_from_m > b_from_0 + tolerance:
+        if c_from_0 > c_from_m + SP_TOL or b_from_m > b_from_0 + SP_TOL:
             holds = False
     return holds, rows
 
@@ -276,8 +271,7 @@ class IdentityReport:
     holds: bool
 
 
-def check_wavg_movement(network, locations, moved, weights,
-                        tol: float = IDENTITY_TOL) -> IdentityReport:
+def check_wavg_movement(network, locations, moved, weights) -> IdentityReport:
     """Movement of the squared-distance minimizer is bounded by the weighted
     movement of the inputs."""
     a = weighted_average(network, locations, weights)
@@ -285,7 +279,7 @@ def check_wavg_movement(network, locations, moved, weights,
     lhs = network.distance(a, a2)
     rhs = sum(w * network.distance(y, y2)
               for w, y, y2 in zip(weights, locations, moved))
-    return IdentityReport("wavg_movement", lhs, rhs, lhs <= rhs + tol)
+    return IdentityReport("wavg_movement", lhs, rhs, lhs <= rhs + IDENTITY_TOL)
 
 
 def _branch_toward(network, p: Point, q: Point):
@@ -296,8 +290,7 @@ def _branch_toward(network, p: Point, q: Point):
     return b
 
 
-def check_cost_difference(network, profile, a: Point, b: Point,
-                          tol: float = IDENTITY_TOL) -> IdentityReport:
+def check_cost_difference(network, profile, a: Point, b: Point) -> IdentityReport:
     """Exact difference of sum-of-squares costs between two locations when
     every agent lies behind a, behind b, or on the path between them."""
     t_b = _branch_toward(network, a, b)
@@ -313,11 +306,10 @@ def check_cost_difference(network, profile, a: Point, b: Point,
             out_tb += dxa
     lhs = social_cost(network, a, profile) - social_cost(network, b, profile)
     rhs = -n * d * d - 2.0 * d * (out_tb - in_tb)
-    return IdentityReport("cost_difference", lhs, rhs, abs(lhs - rhs) <= tol)
+    return IdentityReport("cost_difference", lhs, rhs, abs(lhs - rhs) <= IDENTITY_TOL)
 
 
-def check_flattening(network, profile, a: Point, b: Point,
-                     tol: float = IDENTITY_TOL) -> IdentityReport:
+def check_flattening(network, profile, a: Point, b: Point) -> IdentityReport:
     """Cost difference after straightening the far side onto a single ray:
     relocate every agent beyond b onto the path toward the farthest of them,
     preserving distance from b, then compare against the relocated optimum."""
@@ -337,13 +329,13 @@ def check_flattening(network, profile, a: Point, b: Point,
     opt_pt, _ = optimal_location(network, relocated, Objective.MINISOS)
     lhs = social_cost(network, a, profile) - social_cost(network, b, profile)
     rhs = -n * d * d + 2.0 * n * d * network.distance(a, opt_pt)
-    return IdentityReport("flattening", lhs, rhs, abs(lhs - rhs) <= tol)
+    return IdentityReport("flattening", lhs, rhs, abs(lhs - rhs) <= IDENTITY_TOL)
 
 
-def make_movement_instance(rng, max_nodes=12, m_max=6):
-    """Random tree, locations, weights, and a perturbed copy of the
-    locations, for the movement-bound check."""
-    cfg = GeneratorConfig(max_nodes=max_nodes, min_agents=1, max_agents=m_max,
+def make_movement_instance(rng):
+    """Random tree (up to 12 nodes), 1 to 6 locations, weights, and a
+    perturbed copy of the locations, for the movement-bound check."""
+    cfg = GeneratorConfig(max_nodes=12, min_agents=1, max_agents=6,
                           seed=rng.randrange(2 ** 60))
     network, profile = next(generate(cfg, 1))
     m = len(profile)
@@ -357,11 +349,11 @@ def make_movement_instance(rng, max_nodes=12, m_max=6):
     return network, list(profile), moved, weights
 
 
-def make_two_anchor_instance(rng, ensure_far_opt=True, max_tries=60):
+def make_two_anchor_instance(rng):
     """Spine-and-bushes instance satisfying the cost-difference hypotheses:
     two anchor nodes a, b on a path; agents behind a, beyond b, or on
-    path(a, b); the optimum beyond b."""
-    for _ in range(max_tries):
+    path(a, b); the optimum beyond b.  Gives up after 60 tries."""
+    for _ in range(60):
         spine = rng.randint(3, 6)
         lengths = [rng.uniform(0.5, 2.0) for _ in range(spine - 1)]
         edges = [(i, i + 1, lengths[i]) for i in range(spine - 1)]
@@ -383,8 +375,6 @@ def make_two_anchor_instance(rng, ensure_far_opt=True, max_tries=60):
         # Weight the far end so the optimum falls beyond b.
         locs += [Point.at_node(spine - 1)] * (n_agents // 2 + 2)
         profile = LocationProfile(network, locs)
-        if not ensure_far_opt:
-            return network, profile, a, b
         opt_pt, _ = optimal_location(network, profile, Objective.MINISOS)
         t_a = network.branch_of(b, a)
         if opt_pt != b and network.branch_of(b, opt_pt) != t_a:
@@ -403,24 +393,6 @@ def lemma_identity_check(kind: str, rng: random.Random) -> IdentityReport:
         network, profile, a, b = make_two_anchor_instance(rng)
         return check_flattening(network, profile, a, b)
     raise BadParamsError(f"unknown identity kind {kind!r}")
-
-
-def points_on_single_path(network: TreeNetwork, points,
-                          tol: float = IDENTITY_TOL) -> bool:
-    """True iff all points lie on the path between the farthest pair."""
-    if len(points) <= 2:
-        return True
-    a = b = points[0]
-    dmax = -1.0
-    for p in points:
-        for q in points:
-            d = network.distance(p, q)
-            if d > dmax:
-                dmax, a, b = d, p, q
-    return all(
-        network.distance(a, y) + network.distance(y, b) <= dmax + tol
-        for y in points
-    )
 
 
 # -- lower-bound witness profiles -------------------------------------------
@@ -455,44 +427,6 @@ def lower_bound_witness(kind: str, **params):
             out.append((network, profile, {"coords": [left, right], "j": j}))
         return out
     raise BadParamsError(f"unknown witness kind {kind!r}")
-
-
-# -- brute-force oracle -----------------------------------------------------
-
-
-def grid_optimum(network: TreeNetwork, locations, weights,
-                 resolution: float = 1e-3, refine_rounds: int = 3,
-                 squared: bool = True):
-    """Brute-force minimizer of the (squared) distance objective by edge
-    grids, refined locally.  Independent of the closed-form solver."""
-
-    def value(p):
-        if squared:
-            return sum(w * network.distance(p, y) ** 2
-                       for w, y in zip(weights, locations))
-        return sum(w * network.distance(p, y) for w, y in zip(weights, locations))
-
-    if not network.edges:
-        p = Point.at_node(0)
-        return p, value(p)
-    best = None  # (value, edge, offset, grid step)
-    for e, (_, _, w) in enumerate(network.edges):
-        steps = max(int(w / resolution), 1)
-        for j in range(steps + 1):
-            t = w * j / steps
-            v = value(network.point_on_edge(e, t))
-            if best is None or v < best[0]:
-                best = (v, e, t, w / steps)
-    v, e, t, span = best
-    w = network.edges[e][2]
-    lo, hi = max(t - 2 * span, 0.0), min(t + 2 * span, w)
-    for _ in range(refine_rounds):
-        grid = [(value(network.point_on_edge(e, lo + (hi - lo) * j / 40)),
-                 lo + (hi - lo) * j / 40) for j in range(41)]
-        v, t = min(grid)
-        span = (hi - lo) / 40
-        lo, hi = max(t - 2 * span, 0.0), min(t + 2 * span, w)
-    return network.point_on_edge(e, t), v
 
 
 # -- CSV rows ---------------------------------------------------------------

@@ -26,14 +26,14 @@ from treefacility.verify import (
     approx_ratio,
     boomerang_check,
     immigrants_check,
-    grid_optimum,
     lemma_identity_check,
     lower_bound_witness,
-    points_on_single_path,
     ratio_search,
     sp_check,
 )
 from treefacility.objectives import verify_wavg_condition, weighted_average
+
+from oracles import grid_optimum, points_on_single_path
 
 Q23 = Fraction(2, 3)
 

@@ -217,6 +217,30 @@ class TestCLI:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_boomerang_check_randomized_mech_exit_2(self, capsys):
+        code = cli.main(["boomerang-check", "--mech", "rd", "--budget", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "support" in err
+
+    @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exit_2(self, command, tolerance, capsys):
+        code = cli.main([command, "--mech", "median", "--budget", "1",
+                         "--max-nodes", "4", "--max-agents", "3", "--tolerance", tolerance])
+        assert code == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval", "--mech", "median"], ["opt"]])
+    def test_length_whose_square_overflows_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({
+            "network": {"nodes": 3, "edges": [[0, 1, 1e-300], [1, 2, 1e300]]},
+            "locations": [{"node": 0}, {"node": 2}]}))
+        code = cli.main([*command, "--instance", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: total edge length")
+
     def test_rd_tree_search_has_no_line_bound(self, capsys):
         # rd's miniSOS bound of 2 holds on lines only; this search finds 2.9.
         code = cli.main(["search", "--mech", "rd", "--budget", "200", "--seed", "1"])

@@ -126,8 +126,7 @@ def reference_walk(net, prof, root_agent, qualifies):
     """The generalized-median walk by distance comparison: agent x lies in
     the branch toward neighbour w of a exactly when d(w, x) < d(a, x) on the
     tree subdivided at every agent.  Starts at node 0 when root_agent is None."""
-    aug, pmap = subdivide(net, list(prof))
-    agent_nodes = [pmap.to_augmented(x).node for x in prof]
+    aug, agent_nodes, origin = subdivide(net, list(prof))
     dm = aug.node_distances()
     a = 0 if root_agent is None else agent_nodes[root_agent]
     while True:
@@ -138,7 +137,7 @@ def reference_walk(net, prof, root_agent, qualifies):
                 a = w
                 break
         else:
-            return pmap.to_original(Point.at_node(a))
+            return origin[a]
 
 
 class TestGeneralizedMedianWalk:

@@ -184,13 +184,14 @@ class TestSubtrees:
 
 class TestSubdivide:
     def test_node_anchors_noop(self, unit_line3):
-        aug, pmap = subdivide(unit_line3, [Point.at_node(0), Point.at_node(2)])
+        aug, nodes, _ = subdivide(unit_line3, [Point.at_node(0), Point.at_node(2)])
+        assert nodes == [0, 2]
         assert aug.node_count == unit_line3.node_count
         assert aug.edges == unit_line3.edges
 
     def test_midpoint_split(self):
         net = line_net(2.0)
-        aug, pmap = subdivide(net, [net.point_on_edge(0, 1.0)])
+        aug, _, _ = subdivide(net, [net.point_on_edge(0, 1.0)])
         assert aug.node_count == 3
         assert sorted(w for _, _, w in aug.edges) == [1.0, 1.0]
 
@@ -198,21 +199,21 @@ class TestSubdivide:
         cfg = GeneratorConfig(max_nodes=10, seed=17)
         net, _ = next(generate(cfg, 1))
         anchors = [random_point(rng, net) for _ in range(5)]
-        aug, pmap = subdivide(net, anchors)
-        for _ in range(100):
-            a, b = random_point(rng, net), random_point(rng, net)
+        pairs = [(random_point(rng, net), random_point(rng, net)) for _ in range(100)]
+        aug, nodes, _ = subdivide(net, anchors + [p for pair in pairs for p in pair])
+        for k, (a, b) in enumerate(pairs):
             da = net.distance(a, b)
-            db = aug.distance(pmap.to_augmented(a), pmap.to_augmented(b))
+            na, nb = nodes[5 + 2 * k], nodes[6 + 2 * k]
+            db = aug.distance(Point.at_node(na), Point.at_node(nb))
             assert da == pytest.approx(db, abs=1e-12)
 
     def test_round_trip(self, rng):
         net = line_net(1.0, 2.0, 0.5)
         anchors = [net.point_on_edge(1, 0.7), net.point_on_edge(2, 0.1)]
-        aug, pmap = subdivide(net, anchors)
-        for p in anchors:
-            q = pmap.to_augmented(p)
-            assert q.is_node
-            assert pmap.to_original(q) == p
+        aug, nodes, origin = subdivide(net, anchors)
+        for p, v in zip(anchors, nodes):
+            assert v >= net.node_count
+            assert origin[v] == p
 
 
 class TestProfile:

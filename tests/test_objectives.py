@@ -17,9 +17,10 @@ from treefacility.objectives import (
     verify_wavg_condition,
     weighted_average,
 )
-from treefacility.verify import grid_optimum, check_wavg_movement
+from treefacility.verify import check_wavg_movement
 
 from conftest import line_net, profile, star_net
+from oracles import grid_optimum
 
 
 def uniform(m):

@@ -1,0 +1,109 @@
+"""Property tests of path steps, branches and subdivision on random trees."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from treefacility.generators import GeneratorConfig, generate  # noqa: E402
+from treefacility.network import ENDPOINT_SNAP, Point, subdivide  # noqa: E402
+
+TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
+GRID = 16  # points sit on a grid of edge sixteenths, so distinct points are far apart
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def trees(draw):
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    cfg = GeneratorConfig(topology=topology, min_nodes=1, max_nodes=12, seed=seed)
+    return next(generate(cfg, 1))[0]
+
+
+def grid_points(draw, net, count):
+    """Nodes and points at multiples of length/GRID along the edges."""
+    if not net.edges:
+        return [net.point_at_node(0)] * count
+    out = []
+    for _ in range(count):
+        e = draw(st.integers(0, len(net.edges) - 1))
+        k = draw(st.integers(0, GRID))
+        out.append(net.point_on_edge(e, net.edges[e][2] * k / GRID))
+    return out
+
+
+@SETTINGS
+@given(st.data(), st.floats(0.0, 1.0))
+def test_point_along_path_splits_the_distance(data, f):
+    net = data.draw(trees())
+    a, b = grid_points(data.draw, net, 2)
+    d = net.distance(a, b)
+    p = net.point_along_path(a, b, f * d)
+    tol = 1e-9 * (1 + d)
+    assert net.distance(a, p) == pytest.approx(f * d, abs=tol)
+    assert net.distance(p, b) == pytest.approx((1 - f) * d, abs=tol)
+
+
+@SETTINGS
+@given(st.data())
+def test_branch_of_is_a_branch_at_p(data):
+    net = data.draw(trees())
+    p, x = grid_points(data.draw, net, 2)
+    b = net.branch_of(p, x)
+    if x == p:
+        assert b is None
+    else:
+        assert b in net.branches_at(p)
+
+
+@SETTINGS
+@given(st.data())
+def test_shared_branch_iff_the_path_avoids_p(data):
+    net = data.draw(trees())
+    p, x, y = grid_points(data.draw, net, 3)
+    assume(p not in (x, y))
+    detour = net.distance(x, p) + net.distance(p, y) > net.distance(x, y) + 1e-9
+    assert (net.branch_of(p, x) == net.branch_of(p, y)) == detour
+
+
+@SETTINGS
+@given(st.data())
+def test_subdivide_snaps_and_preserves_distances(data):
+    net = data.draw(trees())
+    anchors = grid_points(data.draw, net, data.draw(st.integers(0, 4)))
+    # Clusters of interior points at most a few ENDPOINT_SNAP apart.
+    if net.edges:
+        for _ in range(data.draw(st.integers(0, 3))):
+            e = data.draw(st.integers(0, len(net.edges) - 1))
+            off = net.edges[e][2] * data.draw(st.integers(1, GRID - 1)) / GRID
+            for gap in data.draw(st.lists(st.sampled_from([0.0, 3e-13, 1e-12, 2e-12]),
+                                          max_size=4)):
+                off += gap
+                anchors.append(net.point_on_edge(e, off))
+    aug, nodes, origin = subdivide(net, anchors)
+    assert len(nodes) == len(anchors)
+    node_of = dict(zip(anchors, nodes))
+    # An interior anchor is kept when it is the first on its edge or lies
+    # more than ENDPOINT_SNAP past the last kept offset; each other anchor
+    # shares the node of the last kept offset before it.
+    leader = {}
+    for e in range(len(net.edges)):
+        last = None
+        for off in sorted({p.offset for p in anchors if p.edge == e}):
+            if last is None or off - last > ENDPOINT_SNAP:
+                last = off
+            leader[e, off] = last
+    for p, v in zip(anchors, nodes):
+        if p.is_node:
+            assert v == p.node
+        else:
+            assert v == node_of[Point(edge=p.edge, offset=leader[p.edge, p.offset])]
+    kept = {p for p in anchors if p.is_node or leader[p.edge, p.offset] == p.offset}
+    assert len({node_of[p] for p in kept}) == len(kept)
+    for p in kept:
+        assert origin[node_of[p]] == p
+        for q in kept:
+            d_aug = aug.distance(Point.at_node(node_of[p]), Point.at_node(node_of[q]))
+            assert d_aug == pytest.approx(net.distance(p, q), abs=1e-12)

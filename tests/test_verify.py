@@ -26,16 +26,15 @@ from treefacility.verify import (
     boomerang_check,
     csv_row,
     deviation_points,
-    grid_optimum,
     immigrants_check,
     lemma_identity_check,
     lower_bound_witness,
-    points_on_single_path,
     ratio_search,
     sp_check,
 )
 
 from conftest import line_net, profile, star_net
+from oracles import grid_optimum, points_on_single_path
 
 Q23 = Fraction(2, 3)
 
