@@ -3,7 +3,8 @@
 A network is a finite weighted tree; agents and facilities may sit at nodes or
 anywhere in the interior of an edge.  All objects are immutable after
 construction and all operations are pure, so everything here is safe to share
-across workers.
+across workers.  Distances come from one BFS row per node, built the first
+time it is read and then cached.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _parse_edge(edge):
 class TreeNetwork:
     """An immutable weighted tree on nodes 0..node_count-1."""
 
-    __slots__ = ("node_count", "edges", "parent", "parent_edge", "order", "_adj", "_dist",
+    __slots__ = ("node_count", "edges", "parent", "parent_edge", "order", "_adj", "_rows",
                  "_line_coords")
 
     def __init__(self, node_count: int, edges):
@@ -149,7 +150,7 @@ class TreeNetwork:
         self.parent = parent
         self.parent_edge = parent_edge
         self.order = order
-        self._dist = None
+        self._rows = [None] * node_count
         self._line_coords = None
 
     # -- basic structure ----------------------------------------------------
@@ -164,21 +165,22 @@ class TreeNetwork:
     def _bfs(self, source: int):
         dist = [-1.0] * self.node_count
         dist[source] = 0.0
-        stack = [source]
-        while stack:
-            u = stack.pop()
+        reached = [source]
+        for u in reached:
             du = dist[u]
             for v, e in self._adj[u]:
                 if dist[v] < 0:
                     dist[v] = du + self.edges[e][2]
-                    stack.append(v)
+                    reached.append(v)
         return dist
 
-    def node_distances(self):
-        """All-pairs node distance table (list of rows)."""
-        if self._dist is None:
-            self._dist = [self._bfs(s) for s in range(self.node_count)]
-        return self._dist
+    def node_distances(self, source: int):
+        """Distances from node ``source`` to every node: its BFS row, built on
+        first use and cached."""
+        row = self._rows[source]
+        if row is None:
+            row = self._rows[source] = self._bfs(source)
+        return row
 
     # -- points -------------------------------------------------------------
 
@@ -228,27 +230,49 @@ class TreeNetwork:
 
     def point_node_distances(self, p: Point):
         """Distances from p to every node, as a list."""
-        dm = self.node_distances()
         if p.is_node:
-            return dm[p.node]
+            return self.node_distances(p.node)
         u, v, w = self.edges[p.edge]
-        du, dv = dm[u], dm[v]
+        du, dv = self.node_distances(u), self.node_distances(v)
         t, s = p.offset, w - p.offset
         return [min(t + du[i], s + dv[i]) for i in range(self.node_count)]
 
+    def distances_from(self, y: Point, points):
+        """[d(y, x) for x in points].  Checks y; the points must already be
+        checked, as a profile's are.
+
+        A path from y leaves through an end of y's edge and enters x's edge
+        through one of its ends, so d(y, x) is the least sum of the two
+        offsets and one entry of the row of y's end; x on y's edge is the
+        offset difference.  A node y is an edge of length 0 with both ends
+        at y, so only the rows of y's ends are read.
+        """
+        self.check_point(y)
+        if y.is_node:
+            ra = rb = self.node_distances(y.node)
+            ta = tb = 0.0
+        else:
+            a, b, w = self.edges[y.edge]
+            ra, rb = self.node_distances(a), self.node_distances(b)
+            ta, tb = y.offset, w - y.offset
+        edges = self.edges
+        out = []
+        for x in points:
+            k = x.node
+            if k is not None:
+                out.append(min(ta + ra[k], tb + rb[k]))
+            elif x.edge == y.edge:
+                out.append(abs(y.offset - x.offset))
+            else:
+                u, v, w = edges[x.edge]
+                t = x.offset
+                out.append(min(min(ta + ra[u], tb + rb[u]) + t,
+                               min(ta + ra[v], tb + rb[v]) + (w - t)))
+        return out
+
     def distance(self, a: Point, b: Point) -> float:
-        self.check_point(a)
         self.check_point(b)
-        if a == b:
-            return 0.0
-        if not a.is_node and not b.is_node and a.edge == b.edge:
-            return abs(a.offset - b.offset)
-        dm = self.node_distances()
-        return min(
-            da + dm[na][nb] + db
-            for na, da in self._anchors(a)
-            for nb, db in self._anchors(b)
-        )
+        return self.distances_from(a, (b,))[0]
 
     def _node_path(self, a: int, b: int):
         """Node ids along the unique path from a to b, inclusive: up from a
@@ -273,11 +297,11 @@ class TreeNetwork:
             return [a]
         if not a.is_node and not b.is_node and a.edge == b.edge:
             return [a, b]
-        dm = self.node_distances()
         best = None
         for na, da in self._anchors(a):
+            row = self.node_distances(na)
             for nb, db in self._anchors(b):
-                d = da + dm[na][nb] + db
+                d = da + row[nb] + db
                 if best is None or d < best[0] - 1e-15:
                     best = (d, na, nb)
         _, na, nb = best

@@ -15,6 +15,7 @@ Every optimal cost is the social cost evaluated at the optimal point.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .network import (
@@ -40,6 +41,10 @@ class WeightInvalidError(ValueError):
 
 class EmptyInputError(ValueError):
     pass
+
+
+class CostOverflowError(NetworkError):
+    """A social cost is too large to represent as a float."""
 
 
 class Objective(enum.Enum):
@@ -101,23 +106,28 @@ def point_mass(p: Point) -> LocationDistribution:
     return LocationDistribution(support=((p, 1.0),))
 
 
+def _finite(cost: float) -> float:
+    if not math.isfinite(cost):
+        raise CostOverflowError(f"social cost {cost} is not finite: the distances are too large")
+    return cost
+
+
 def social_cost(network: TreeNetwork, y: Point, profile: LocationProfile,
                 objective: Objective = Objective.MINISOS) -> float:
-    network.check_point(y)
-    dists = (network.distance(y, x) for x in profile)
+    dists = network.distances_from(y, profile)
     if objective is Objective.MINISOS:
-        return sum(d * d for d in dists)
+        return _finite(sum(d * d for d in dists))
     if objective is Objective.MINISUM:
-        return sum(dists)
+        return _finite(sum(dists))
     return max(dists)
 
 
 def expected_social_cost(network: TreeNetwork, dist: LocationDistribution,
                          profile: LocationProfile,
                          objective: Objective = Objective.MINISOS) -> float:
-    return sum(
+    return _finite(sum(
         prob * social_cost(network, y, profile, objective) for y, prob in dist
-    )
+    ))
 
 
 def expected_agent_cost(network: TreeNetwork, dist: LocationDistribution,
@@ -148,7 +158,9 @@ def _minisos_point(network, locations, weights):
     """
     if not network.edges:
         return Point.at_node(0)
-    loc_nd = [network.point_node_distances(y) for y in locations]
+    # One row per distinct location: rDGM's composition repeats its points.
+    rows = {y: network.point_node_distances(y) for y in dict.fromkeys(locations)}
+    loc_nd = [rows[y] for y in locations]
     total = sum(weights)
     best = None
     for e, (u, v, L) in enumerate(network.edges):
@@ -186,9 +198,9 @@ def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
     branch must not exceed the mass outside it.  Returns (holds, report)
     where report lists (branch, inside_sum, outside_sum).
     """
-    network.check_point(candidate)
+    locations = [network.check_point(y) for y in locations]
     _check_weights(weights, len(locations))
-    dists = [network.distance(candidate, y) for y in locations]
+    dists = network.distances_from(candidate, locations)
     total = sum(w * d for w, d in zip(weights, dists))
     report = []
     holds = True
@@ -254,9 +266,12 @@ def median_point(network: TreeNetwork, profile) -> Point:
 
 def _minimax_point(network, locations):
     """Midpoint of the farthest pair, found by two farthest-point sweeps."""
-    a = max(locations, key=lambda y: network.distance(locations[0], y))
-    b = max(locations, key=lambda y: network.distance(a, y))
-    return network.point_along_path(a, b, 0.5 * network.distance(a, b))
+    from_first = network.distances_from(locations[0], locations)
+    a = locations[from_first.index(max(from_first))]
+    from_a = network.distances_from(a, locations)
+    d_ab = max(from_a)
+    b = locations[from_a.index(d_ab)]
+    return network.point_along_path(a, b, 0.5 * d_ab)
 
 
 def optimal_location(network: TreeNetwork, profile: LocationProfile,

@@ -39,6 +39,41 @@ def grid_optimum(network: TreeNetwork, locations, weights,
     return network.point_on_edge(e, t), v
 
 
+def _node_row(network: TreeNetwork, source: int):
+    """Distances from a node to every node, by a BFS of the test's own."""
+    adj = [[] for _ in range(network.node_count)]
+    for u, v, w in network.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    row = {source: 0.0}
+    queue = [source]
+    for u in queue:
+        for v, w in adj[u]:
+            if v not in row:
+                row[v] = row[u] + w
+                queue.append(v)
+    return row
+
+
+def anchor_distance(network: TreeNetwork, a: Point, b: Point) -> float:
+    """d(a, b) by the all-pairs formula: 0 when a == b, the offset difference
+    on one edge, otherwise the least da + row(na)[nb] + db over the ends
+    (na, da) of a and (nb, db) of b."""
+    if a == b:
+        return 0.0
+    if not a.is_node and not b.is_node and a.edge == b.edge:
+        return abs(a.offset - b.offset)
+
+    def ends(p):
+        if p.is_node:
+            return [(p.node, 0.0)]
+        u, v, w = network.edges[p.edge]
+        return [(u, p.offset), (v, w - p.offset)]
+
+    return min(da + _node_row(network, na)[nb] + db
+               for na, da in ends(a) for nb, db in ends(b))
+
+
 def points_on_single_path(network: TreeNetwork, points,
                           tol: float = IDENTITY_TOL) -> bool:
     """True iff all points lie on the path between the farthest pair."""

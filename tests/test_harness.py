@@ -18,6 +18,8 @@ from treefacility.network import (
     network_from_json,
     profile_from_json,
 )
+from treefacility.mechanisms import RandomDictator
+from treefacility.objectives import CostOverflowError, expected_social_cost, social_cost
 
 from conftest import line_net
 
@@ -240,6 +242,39 @@ class TestCLI:
         code = cli.main([*command, "--instance", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: total edge length")
+
+    @staticmethod
+    def overflowing_cost_file(tmp_path):
+        # The length squared is finite, but two agents at one end put
+        # 2 * 1.69e308 on a facility at the other.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "network": {"nodes": 2, "edges": [[0, 1, 1.3e154]]},
+            "locations": [{"node": 0}, {"node": 0}, {"node": 1}]}))
+        return str(path)
+
+    def test_overflowing_cost_exit_2(self, tmp_path, capsys):
+        code = cli.main(["eval", "--mech", "rd", "--instance", self.overflowing_cost_file(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: social cost")
+
+    @pytest.mark.parametrize("command", [["eval", "--mech", "median"], ["opt"]])
+    def test_finite_cost_near_overflow_exit_0(self, tmp_path, capsys, command):
+        code = cli.main([*command, "--instance", self.overflowing_cost_file(tmp_path)])
+        assert code == 0
+        assert "inf" not in capsys.readouterr().out
+
+    def test_overflowing_cost_raises(self):
+        net = network_from_json({"nodes": 2, "edges": [[0, 1, 1.3e154]]})
+        prof = LocationProfile(net, [net.point_at_node(0)] * 2 + [net.point_at_node(1)])
+        assert social_cost(net, net.point_at_node(0), prof) == 1.3e154 ** 2
+        with pytest.raises(CostOverflowError):
+            social_cost(net, net.point_at_node(1), prof)
+        with pytest.raises(CostOverflowError):
+            expected_social_cost(net, RandomDictator().run(net, prof), prof)
 
     def test_rd_tree_search_has_no_line_bound(self, capsys):
         # rd's miniSOS bound of 2 holds on lines only; this search finds 2.9.

@@ -127,12 +127,11 @@ def reference_walk(net, prof, root_agent, qualifies):
     the branch toward neighbour w of a exactly when d(w, x) < d(a, x) on the
     tree subdivided at every agent.  Starts at node 0 when root_agent is None."""
     aug, agent_nodes, origin = subdivide(net, list(prof))
-    dm = aug.node_distances()
     a = 0 if root_agent is None else agent_nodes[root_agent]
     while True:
-        da = dm[a]
+        da = aug.node_distances(a)
         for w, _ in aug.adjacency[a]:
-            dw = dm[w]
+            dw = aug.node_distances(w)
             if qualifies(sum(1 for x in agent_nodes if dw[x] < da[x])):
                 a = w
                 break

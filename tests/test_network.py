@@ -17,6 +17,7 @@ from treefacility.network import (
     profile_from_json,
     subdivide,
 )
+from treefacility.objectives import social_cost
 
 from conftest import line_net, profile, star_net
 
@@ -52,6 +53,45 @@ class TestValidate:
     def test_single_node(self):
         net = TreeNetwork(1, [])
         assert net.node_count == 1
+
+
+class TestDistanceRows:
+    """Distances read one cached BFS row per node; no all-pairs table."""
+
+    @pytest.fixture
+    def big(self):
+        cfg = GeneratorConfig(min_nodes=1000, max_nodes=1000, min_agents=50,
+                              max_agents=50, seed=11)
+        return next(generate(cfg, 1))
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        calls = []
+        bfs = TreeNetwork._bfs
+
+        def counting(self, source):
+            calls.append(source)
+            return bfs(self, source)
+
+        monkeypatch.setattr(TreeNetwork, "_bfs", counting)
+        return calls
+
+    def test_cost_at_a_node_reads_one_row(self, big, monkeypatch):
+        net, prof = big
+        calls = self.count_rows(monkeypatch)
+        social_cost(net, net.point_at_node(17), prof)
+        assert calls == [17]
+        social_cost(net, net.point_at_node(17), prof)
+        assert calls == [17]
+
+    def test_cost_at_an_interior_point_reads_two_rows(self, big, monkeypatch):
+        net, prof = big
+        calls = self.count_rows(monkeypatch)
+        y = net.point_on_edge(5, net.edges[5][2] / 3)
+        social_cost(net, y, prof)
+        assert sorted(calls) == sorted(net.edges[5][:2])
+        social_cost(net, y, prof)
+        assert len(calls) == 2
 
 
 class TestDistance:
@@ -128,6 +168,20 @@ class TestPath:
                     for b in range(net.node_count):
                         pts = net.path(Point.at_node(a), Point.at_node(b))
                         assert [p.node for p in pts] == nx.shortest_path(g, a, b)
+
+    def test_node_rows_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for topology in ("line", "star", "caterpillar", "random_tree"):
+            cfg = GeneratorConfig(topology=topology, min_nodes=1, max_nodes=40, seed=37)
+            for net, _ in generate(cfg, 5):
+                g = nx.Graph()
+                g.add_nodes_from(range(net.node_count))
+                g.add_weighted_edges_from(net.edges)
+                for s in range(net.node_count):
+                    want = nx.single_source_dijkstra_path_length(g, s)
+                    # Both sum the edge lengths outward from s along the
+                    # unique path, so the floats agree exactly.
+                    assert net.node_distances(s) == [want[v] for v in range(net.node_count)]
 
     def test_point_along_path(self, unit_line3):
         a, b = Point.at_node(0), Point.at_node(2)

@@ -1,4 +1,4 @@
-"""Property tests of path steps, branches and subdivision on random trees."""
+"""Property tests of distances, path steps, branches and subdivision on random trees."""
 
 import pytest
 
@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from treefacility.generators import GeneratorConfig, generate  # noqa: E402
 from treefacility.network import ENDPOINT_SNAP, Point, subdivide  # noqa: E402
+
+from oracles import anchor_distance  # noqa: E402
 
 TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
 GRID = 16  # points sit on a grid of edge sixteenths, so distinct points are far apart
@@ -32,6 +34,39 @@ def grid_points(draw, net, count):
         k = draw(st.integers(0, GRID))
         out.append(net.point_on_edge(e, net.edges[e][2] * k / GRID))
     return out
+
+
+@st.composite
+def mixed_points(draw, net):
+    """Nodes, interior points anywhere, points on an edge already used, and
+    repeats of earlier points."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["node", "interior", "shared-edge", "repeat"]))
+        if kind == "repeat" and out:
+            out.append(draw(st.sampled_from(out)))
+        elif kind == "node" or not net.edges:
+            out.append(net.point_at_node(draw(st.integers(0, net.node_count - 1))))
+        else:
+            used = [p.edge for p in out if not p.is_node]
+            if kind == "shared-edge" and used:
+                e = draw(st.sampled_from(used))
+            else:
+                e = draw(st.integers(0, len(net.edges) - 1))
+            f = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+            out.append(net.point_on_edge(e, net.edges[e][2] * f))
+    return out
+
+
+@SETTINGS
+@given(st.data())
+def test_distances_are_the_anchor_formula_bit_for_bit(data):
+    net = data.draw(trees())
+    points = data.draw(mixed_points(net))
+    for y in points:
+        expected = [float.hex(anchor_distance(net, y, x)) for x in points]
+        assert [float.hex(d) for d in net.distances_from(y, points)] == expected
+        assert [float.hex(net.distance(y, x)) for x in points] == expected
 
 
 @SETTINGS
