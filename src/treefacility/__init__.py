@@ -10,7 +10,6 @@ from .network import (
     LocationProfile,
     Point,
     TreeNetwork,
-    subdivide,
 )
 from .objectives import (
     LocationDistribution,

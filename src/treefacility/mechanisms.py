@@ -143,11 +143,12 @@ class TreeMedian(Mechanism):
 def _generalized_medians(network, profile, q, roots):
     """For each agent index in roots, the stop of the walk from that agent's
     location into any branch holding at least fraction q of the agents
-    (one subdivision and one set of agent counts for all of them)."""
-    aug, origin, agent_nodes, below = _agent_context(network, profile)
+    (one set of agent counts for all of them)."""
+    context = _agent_context(network, profile)
+    place = context[3]
     num, den, n = q.numerator, q.denominator, len(profile)
     qualifies = lambda count: count * den >= num * n
-    return [origin[_descend(aug, below, agent_nodes[i], qualifies)] for i in roots]
+    return [_descend(network, context, place[i], qualifies) for i in roots]
 
 
 class DGM(Mechanism):

@@ -9,6 +9,7 @@ time it is read and then cached.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass
@@ -102,7 +103,7 @@ class TreeNetwork:
     """An immutable weighted tree on nodes 0..node_count-1."""
 
     __slots__ = ("node_count", "edges", "parent", "parent_edge", "order", "_adj", "_rows",
-                 "_line_coords")
+                 "_line")
 
     def __init__(self, node_count: int, edges):
         if not _is_int(node_count) or node_count < 1:
@@ -151,7 +152,7 @@ class TreeNetwork:
         self.parent_edge = parent_edge
         self.order = order
         self._rows = [None] * node_count
-        self._line_coords = None
+        self._line = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -163,6 +164,8 @@ class TreeNetwork:
         return sum(w for _, _, w in self.edges)
 
     def _bfs(self, source: int):
+        """Distances from node ``source`` to every node, and the nodes in the
+        order reached."""
         dist = [-1.0] * self.node_count
         dist[source] = 0.0
         reached = [source]
@@ -172,14 +175,14 @@ class TreeNetwork:
                 if dist[v] < 0:
                     dist[v] = du + self.edges[e][2]
                     reached.append(v)
-        return dist
+        return dist, reached
 
     def node_distances(self, source: int):
         """Distances from node ``source`` to every node: its BFS row, built on
         first use and cached."""
         row = self._rows[source]
         if row is None:
-            row = self._rows[source] = self._bfs(source)
+            row = self._rows[source] = self._bfs(source)[0]
         return row
 
     # -- points -------------------------------------------------------------
@@ -220,22 +223,6 @@ class TreeNetwork:
                 f"offset {p.offset} not interior to edge {p.edge} of length {w}"
             )
         return p
-
-    def _anchors(self, p: Point):
-        """(node, distance) pairs through which any path leaving p must pass."""
-        if p.is_node:
-            return ((p.node, 0.0),)
-        u, v, w = self.edges[p.edge]
-        return ((u, p.offset), (v, w - p.offset))
-
-    def point_node_distances(self, p: Point):
-        """Distances from p to every node, as a list."""
-        if p.is_node:
-            return self.node_distances(p.node)
-        u, v, w = self.edges[p.edge]
-        du, dv = self.node_distances(u), self.node_distances(v)
-        t, s = p.offset, w - p.offset
-        return [min(t + du[i], s + dv[i]) for i in range(self.node_count)]
 
     def distances_from(self, y: Point, points):
         """[d(y, x) for x in points].  Checks y; the points must already be
@@ -286,10 +273,18 @@ class TreeNetwork:
             down.append(self.parent[down[-1]])
         return up[:up_index[down[-1]]] + down[::-1]
 
+    def child_end(self, e: int) -> int:
+        """The end of edge e farther from node 0."""
+        u, v, _ = self.edges[e]
+        return v if self.parent[v] == u else u
+
     def path(self, a: Point, b: Point):
         """Points along the unique simple path from a to b.
 
         Endpoints are a and b themselves; every intermediate entry is a node.
+        An interior point sits between the two ends of its edge, so the path
+        leaves it through the child end when the node path from that end
+        goes down, and through the parent end when it goes up.
         """
         self.check_point(a)
         self.check_point(b)
@@ -297,15 +292,14 @@ class TreeNetwork:
             return [a]
         if not a.is_node and not b.is_node and a.edge == b.edge:
             return [a, b]
-        best = None
-        for na, da in self._anchors(a):
-            row = self.node_distances(na)
-            for nb, db in self._anchors(b):
-                d = da + row[nb] + db
-                if best is None or d < best[0] - 1e-15:
-                    best = (d, na, nb)
-        _, na, nb = best
-        pts = [Point.at_node(x) for x in self._node_path(na, nb)]
+        ka = a.node if a.is_node else self.child_end(a.edge)
+        kb = b.node if b.is_node else self.child_end(b.edge)
+        nodes = self._node_path(ka, kb)
+        if not a.is_node and len(nodes) > 1 and nodes[1] == self.parent[ka]:
+            nodes = nodes[1:]
+        if not b.is_node and len(nodes) > 1 and nodes[-2] == self.parent[kb]:
+            nodes = nodes[:-1]
+        pts = [Point.at_node(x) for x in nodes]
         if not a.is_node:
             pts = [a] + pts
         if not b.is_node:
@@ -377,22 +371,22 @@ class TreeNetwork:
     def is_line(self) -> bool:
         return all(len(nbrs) <= 2 for nbrs in self._adj)
 
-    def _build_line_coords(self):
-        if not self.is_line():
-            raise NetworkError("network is not a path")
-        if self.node_count == 1:
-            self._line_coords = [0.0]
-            return
-        endpoints = [i for i in range(self.node_count) if len(self._adj[i]) == 1]
-        origin = 0 if 0 in endpoints else min(endpoints)
-        self._line_coords = self._bfs(origin)
+    def _line_walk(self):
+        """(coordinates, nodes, xs): every node's coordinate, measured from
+        the origin endpoint (node 0 when it is an endpoint), the nodes in
+        path order from there, and their coordinates in that order."""
+        if self._line is None:
+            if not self.is_line():
+                raise NetworkError("network is not a path")
+            ends = [i for i in range(self.node_count) if len(self._adj[i]) == 1]
+            coords, nodes = self._bfs(0 if not ends or 0 in ends else min(ends))
+            self._line = (coords, nodes, [coords[i] for i in nodes])
+        return self._line
 
     def line_coordinates(self):
         """Coordinate of every node along the path, measured from the origin
         endpoint (node 0 when it is an endpoint)."""
-        if self._line_coords is None:
-            self._build_line_coords()
-        return self._line_coords
+        return self._line_walk()[0]
 
     def coordinate_of(self, p: Point) -> float:
         coords = self.line_coordinates()
@@ -404,17 +398,24 @@ class TreeNetwork:
         return coords[u] - p.offset
 
     def point_at_coordinate(self, c: float) -> Point:
-        """Inverse of coordinate_of, snapping to nodes within 1e-12."""
-        coords = self.line_coordinates()
-        for i, ci in enumerate(coords):
-            if abs(c - ci) <= ENDPOINT_SNAP:
-                return Point.at_node(i)
-        for e, (u, v, w) in enumerate(self.edges):
-            lo, hi = sorted((coords[u], coords[v]))
-            if lo < c < hi:
-                off = c - coords[u] if coords[u] < coords[v] else coords[u] - c
-                return self.point_on_edge(e, off)
-        raise PointInvalidError(f"coordinate {c} outside the network")
+        """Inverse of coordinate_of: the lowest-numbered node within
+        ENDPOINT_SNAP of c, else the point of the edge whose coordinates
+        enclose c."""
+        coords, nodes, xs = self._line_walk()
+        k = bisect.bisect_left(xs, c)
+        # xs is sorted, so the nodes within ENDPOINT_SNAP of c are adjacent in it.
+        lo, hi = k, k
+        while lo > 0 and c - xs[lo - 1] <= ENDPOINT_SNAP:
+            lo -= 1
+        while hi < len(xs) and xs[hi] - c <= ENDPOINT_SNAP:
+            hi += 1
+        if lo < hi:
+            return Point.at_node(min(nodes[lo:hi]))
+        if not 0 < k < len(xs):
+            raise PointInvalidError(f"coordinate {c} outside the network")
+        u, v = nodes[k - 1], nodes[k]
+        e = next(e for w, e in self._adj[u] if w == v)
+        return self.point_on_edge(e, c - coords[u] if self.edges[e][0] == u else coords[v] - c)
 
     # -- serialization ------------------------------------------------------
 

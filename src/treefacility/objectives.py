@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 
 from .network import (
+    ENDPOINT_SNAP,
     LocationProfile,
     NetworkError,
     Point,
     TreeNetwork,
     point_sort_key,
-    subdivide,
 )
 
 PROB_TOL = 1e-9
@@ -151,32 +151,68 @@ def _check_weights(weights, m):
 def _minisos_point(network, locations, weights):
     """Global minimizer of sum_i w_i d(t, y_i)^2 over the whole network.
 
-    Along edge (u, v, L) every location sits at a fixed position c_i on the
-    edge's own line: -d(u, y) behind u, L + d(v, y) behind v, or its offset
-    on the edge.  The objective there is one parabola, minimized by the
-    weighted mean of the c_i clamped to [0, L]; the best edge wins.
+    Along edge (a, b, L), a the parent end, the objective is one parabola
+    with vertex (2M - T) / total from a, where T = sum_i w_i d(a, y_i) and M
+    is that sum over the branch through b.  One bottom-up pass gives every
+    subtree's weight and first moment; the walk from node 0 enters the one
+    branch with 2M > T and stops on the first edge whose vertex falls short
+    of its far end, or at the node where no branch qualifies.
     """
     if not network.edges:
         return Point.at_node(0)
-    # One row per distinct location: rDGM's composition repeats its points.
-    rows = {y: network.point_node_distances(y) for y in dict.fromkeys(locations)}
-    loc_nd = [rows[y] for y in locations]
+    edges, parent, parent_edge = network.edges, network.parent, network.parent_edge
     total = sum(weights)
-    best = None
-    for e, (u, v, L) in enumerate(network.edges):
-        cs = [
-            y.offset if y.edge == e else (-d[u] if d[u] <= d[v] else L + d[v])
-            for y, d in zip(locations, loc_nd)
-        ]
-        # Centred on c_0, so coincident locations give back their own offset.
-        c0 = cs[0]
-        t = c0 + sum(w * (c - c0) for w, c in zip(weights, cs)) / total
-        t = min(max(t, 0.0), L)
-        val = sum(w * (t - c) ** 2 for w, c in zip(weights, cs))
-        if best is None or val < best[0]:
-            best = (val, e, t)
-    _, e, t = best
-    return network.point_on_edge(e, t)
+    W = [0.0] * network.node_count  # weight at or below each node
+    S = [0.0] * network.node_count  # sum of w d(v, y) over that weight
+    # Weight inside each edge, and its moment about the edge's parent end.
+    inside = [[0.0, 0.0] for _ in edges]
+    for y, w in zip(locations, weights):
+        if y.is_node:
+            W[y.node] += w
+        else:
+            _, v, L = edges[y.edge]
+            acc = inside[y.edge]
+            acc[0] += w
+            acc[1] += w * (y.offset if network.child_end(y.edge) == v else L - y.offset)
+    for b in reversed(network.order[1:]):
+        a, e = parent[b], parent_edge[b]
+        wi, si = inside[e]
+        W[a] += W[b] + wi
+        S[a] += S[b] + W[b] * edges[e][2] + si
+    a, T = 0, S[0]
+    while True:
+        for b, e in network.adjacency[a]:
+            if parent[b] != a:
+                continue
+            L = edges[e][2]
+            M = S[b] + W[b] * L + inside[e][1]
+            if 2.0 * M > T:
+                if (2.0 * M - T) / total < L:
+                    return _edge_minimizer(network, e, locations, weights, total)
+                T += total * L - 2.0 * (M - S[b])
+                a = b
+                break
+        else:
+            return Point.at_node(a)
+
+
+def _edge_minimizer(network, e, locations, weights, total):
+    """The clamped vertex of the parabola along edge e = (u, v, L), centred
+    on the first location's position so coincident locations give back
+    their own offset."""
+    u, v, L = network.edges[e]
+    ends = (Point.at_node(u), Point.at_node(v))
+    at = {}  # each distinct location's position on the edge's line
+    for y in dict.fromkeys(locations):
+        if y.edge == e:
+            at[y] = y.offset
+        else:
+            du, dv = network.distances_from(y, ends)
+            at[y] = -du if du <= dv else L + dv
+    cs = [at[y] for y in locations]
+    c0 = cs[0]
+    t = c0 + sum(w * (c - c0) for w, c in zip(weights, cs)) / total
+    return network.point_on_edge(e, min(max(t, 0.0), L))
 
 
 def weighted_average(network: TreeNetwork, locations, weights) -> Point:
@@ -220,48 +256,97 @@ def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
 # -- optimal locations per objective ---------------------------------------
 
 
-def _agent_context(network, profile):
-    """Subdivide at agent locations so every agent sits at a node, and count
-    the agents at or below every node of the subdivided tree rooted at 0.
-    Returns (aug, origin, agent_nodes, below); origin[v] is the original
-    point of node v of aug."""
-    aug, agent_nodes, origin = subdivide(network, list(profile))
-    below = [0] * aug.node_count
-    for a in agent_nodes:
-        below[a] += 1
-    for v in reversed(aug.order[1:]):
-        below[aug.parent[v]] += below[v]
-    return aug, origin, agent_nodes, below
-
-
-def _descend(aug, below, root, qualifies):
-    """Walk from the root into any branch whose agent count qualifies.
-
-    ``below`` holds the agents at or below each node (see _agent_context):
-    a child branch w of node a holds below[w] agents, and the branch toward
-    a's parent holds the other n - below[a].  With thresholds above n/2 at
-    most one branch can qualify, so the walk is deterministic; it stops at
-    the first node where no branch qualifies.
+def _agent_context(network, locations):
+    """Agent counts for the generalized-median walks on the tree rooted at
+    node 0, as (below, on_edge, clusters, place): the agents at the nodes of
+    v's subtree and inside its edges, the agents inside edge e, e's clusters
+    as [first offset, count] in offset order, and agent k's node or its
+    (edge, cluster index).  An agent inside an edge joins the current
+    cluster when its offset is within ENDPOINT_SNAP of the cluster's first
+    offset, as in ``subdivide``, and opens a new one otherwise.
     """
+    below = [0] * network.node_count
+    inside = [[] for _ in network.edges]
+    for k, p in enumerate(locations):
+        if p.is_node:
+            below[p.node] += 1
+        else:
+            inside[p.edge].append((p.offset, k))
+    place = [p.node for p in locations]
+    clusters = [[] for _ in network.edges]
+    for e, agents in enumerate(inside):
+        cl = clusters[e]
+        for off, k in sorted(agents):
+            if not cl or off - cl[-1][0] > ENDPOINT_SNAP:
+                cl.append([off, 0])
+            cl[-1][1] += 1
+            place[k] = (e, len(cl) - 1)
+    on_edge = [len(agents) for agents in inside]
+    parent, parent_edge = network.parent, network.parent_edge
+    for v in reversed(network.order[1:]):
+        below[parent[v]] += below[v] + on_edge[parent_edge[v]]
+    return below, on_edge, clusters, place
+
+
+def _descend(network, context, start, qualifies):
+    """Walk from ``start`` (a node, or an agent's (edge, cluster index)) into
+    any branch whose agent count qualifies, and return the stop.
+
+    A child branch w of node a holds below[w] + on_edge[e] agents, and the
+    branch toward a's parent the other n - below[a].  Entering an edge, the
+    walk steps through its clusters and stops at the first one beyond which
+    the agents ahead no longer qualify.  With thresholds above n/2 at most
+    one branch can qualify, so the walk is deterministic.
+    """
+    below, on_edge, clusters, _ = context
     n = below[0]
-    parent = aug.parent
-    a = root
+    edges, parent = network.edges, network.parent
+
+    def through(e, ahead, cls):
+        """The stop among clusters ``cls`` of edge e, in walking order, with
+        ``ahead`` agents at or beyond the first; None past the last."""
+        for off, k in cls:
+            ahead -= k
+            if not qualifies(ahead):
+                return Point(edge=e, offset=off)
+        return None
+
+    a = start
+    if isinstance(start, tuple):
+        # From an agent's cluster, the walk toward an end passes that
+        # cluster first and stays there unless the agents beyond qualify.
+        e, j = start
+        u, v, _ = edges[e]
+        child = network.child_end(e)
+        beyond = {child: below[child], parent[child]: n - below[child] - on_edge[e]}
+        cl = clusters[e]
+        here = Point(edge=e, offset=cl[j][0])
+        for end, cls in ((u, cl[j::-1]), (v, cl[j:])):
+            stop = through(e, beyond[end] + sum(k for _, k in cls), cls)
+            if stop != here:
+                break
+        if stop is not None:
+            return stop
+        a = end
     while True:
-        for w, _ in aug.adjacency[a]:
-            if qualifies(below[w] if parent[w] == a else n - below[a]):
+        for w, e in network.adjacency[a]:
+            count = below[w] + on_edge[e] if parent[w] == a else n - below[a]
+            if qualifies(count):
+                stop = through(e, count, clusters[e] if edges[e][0] == a else clusters[e][::-1])
+                if stop is not None:
+                    return stop
                 a = w
                 break
         else:
-            return a
+            return Point.at_node(a)
 
 
 def median_point(network: TreeNetwork, profile) -> Point:
     """Descend from node 0 into any branch holding strictly more than half
     the agents.  The stop minimizes the sum of distances; among ties it is
     the minimizer closest to node 0."""
-    aug, origin, _, below = _agent_context(network, profile)
     n = len(profile)
-    return origin[_descend(aug, below, 0, lambda count: 2 * count > n)]
+    return _descend(network, _agent_context(network, profile), 0, lambda count: 2 * count > n)
 
 
 def _minimax_point(network, locations):

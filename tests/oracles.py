@@ -1,6 +1,6 @@
 """Brute-force oracles the tests compare the package against."""
 
-from treefacility.network import Point, TreeNetwork
+from treefacility.network import ENDPOINT_SNAP, Point, PointInvalidError, TreeNetwork, subdivide
 from treefacility.verify import IDENTITY_TOL
 
 
@@ -90,3 +90,66 @@ def points_on_single_path(network: TreeNetwork, points,
         network.distance(a, y) + network.distance(y, b) <= dmax + tol
         for y in points
     )
+
+
+def reference_walk(net, prof, root_agent, qualifies):
+    """The generalized-median walk by distance comparison: agent x lies in
+    the branch toward neighbour w of a exactly when d(w, x) < d(a, x) on the
+    tree subdivided at every agent.  Starts at node 0 when root_agent is None."""
+    aug, agent_nodes, origin = subdivide(net, list(prof))
+    a = 0 if root_agent is None else agent_nodes[root_agent]
+    while True:
+        da = aug.node_distances(a)
+        for w, _ in aug.adjacency[a]:
+            dw = aug.node_distances(w)
+            if qualifies(sum(1 for x in agent_nodes if dw[x] < da[x])):
+                a = w
+                break
+        else:
+            return origin[a]
+
+
+def sweep_minisos_point(network: TreeNetwork, locations, weights):
+    """The miniSOS minimizer by a sweep over every edge.
+
+    Along edge (u, v, L) every location sits at a fixed position c_i on the
+    edge's own line: -d(u, y) behind u, L + d(v, y) behind v, or its offset
+    on the edge.  The objective there is one parabola, minimized by the
+    weighted mean of the c_i clamped to [0, L]; the best edge wins.
+    """
+    if not network.edges:
+        return Point.at_node(0)
+    nodes = [Point.at_node(i) for i in range(network.node_count)]
+    rows = {y: network.distances_from(y, nodes) for y in dict.fromkeys(locations)}
+    loc_nd = [rows[y] for y in locations]
+    total = sum(weights)
+    best = None
+    for e, (u, v, L) in enumerate(network.edges):
+        cs = [
+            y.offset if y.edge == e else (-d[u] if d[u] <= d[v] else L + d[v])
+            for y, d in zip(locations, loc_nd)
+        ]
+        # Centred on c_0, so coincident locations give back their own offset.
+        c0 = cs[0]
+        t = c0 + sum(w * (c - c0) for w, c in zip(weights, cs)) / total
+        t = min(max(t, 0.0), L)
+        val = sum(w * (t - c) ** 2 for w, c in zip(weights, cs))
+        if best is None or val < best[0]:
+            best = (val, e, t)
+    _, e, t = best
+    return network.point_on_edge(e, t)
+
+
+def scan_point_at_coordinate(network: TreeNetwork, c: float) -> Point:
+    """The point at line coordinate c by scanning: the first node within
+    ENDPOINT_SNAP of c, else the first edge whose ends enclose c."""
+    coords = network.line_coordinates()
+    for i, ci in enumerate(coords):
+        if abs(c - ci) <= ENDPOINT_SNAP:
+            return Point.at_node(i)
+    for e, (u, v, w) in enumerate(network.edges):
+        lo, hi = sorted((coords[u], coords[v]))
+        if lo < c < hi:
+            off = c - coords[u] if coords[u] < coords[v] else coords[u] - c
+            return network.point_on_edge(e, off)
+    raise PointInvalidError(f"coordinate {c} outside the network")

@@ -24,10 +24,11 @@ from treefacility.mechanisms import (
     TreeMedian,
     parse_mechanism,
 )
-from treefacility.network import LocationProfile, Point, subdivide
-from treefacility.objectives import expected_social_cost, optimal_location
+from treefacility.network import LocationProfile, Point, TreeNetwork
+from treefacility.objectives import Objective, expected_social_cost, optimal_location
 
 from conftest import assert_dist_close, line_net, profile, star_net
+from oracles import reference_walk
 
 Q23 = Fraction(2, 3)
 
@@ -122,23 +123,6 @@ class TestDGM:
             DGM(1, Fraction(1, 3))
 
 
-def reference_walk(net, prof, root_agent, qualifies):
-    """The generalized-median walk by distance comparison: agent x lies in
-    the branch toward neighbour w of a exactly when d(w, x) < d(a, x) on the
-    tree subdivided at every agent.  Starts at node 0 when root_agent is None."""
-    aug, agent_nodes, origin = subdivide(net, list(prof))
-    a = 0 if root_agent is None else agent_nodes[root_agent]
-    while True:
-        da = aug.node_distances(a)
-        for w, _ in aug.adjacency[a]:
-            dw = aug.node_distances(w)
-            if qualifies(sum(1 for x in agent_nodes if dw[x] < da[x])):
-                a = w
-                break
-        else:
-            return origin[a]
-
-
 class TestGeneralizedMedianWalk:
     """The subtree-count walk agrees with the distance-comparison walk."""
 
@@ -173,6 +157,22 @@ class TestGeneralizedMedianWalk:
                 reference_walk(net, prof, r, lambda c: 3 * c >= 2 * n) for r in range(n)
             ]
             assert RandomizedDGM(Q23).member_points(net, prof) == expected
+
+    def test_walks_build_no_network(self, monkeypatch):
+        cfg = GeneratorConfig(min_nodes=200, max_nodes=200, min_agents=40, max_agents=40, seed=3)
+        net, prof = next(generate(cfg, 1))
+        built = []
+        init = TreeNetwork.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(TreeNetwork, "__init__", counting)
+        for spec in ("median", "dgm:1:2/3", "rdgm:2/3"):
+            parse_mechanism(spec).run(net, prof)
+        optimal_location(net, prof, Objective.MINISUM)
+        assert built == []
 
 
 class TestPB:

@@ -20,6 +20,7 @@ from treefacility.network import (
 from treefacility.objectives import social_cost
 
 from conftest import line_net, profile, star_net
+from oracles import scan_point_at_coordinate
 
 
 class TestValidate:
@@ -183,6 +184,16 @@ class TestPath:
                     # unique path, so the floats agree exactly.
                     assert net.node_distances(s) == [want[v] for v in range(net.node_count)]
 
+    def test_interior_point_leaves_through_the_end_toward_b(self):
+        # A short offset on a long edge: comparing float sums of the two
+        # ways out loses the offset and used to leave through node 0.
+        net = TreeNetwork(3, [(0, 1, 1e10), (1, 2, 1.0)])
+        a, c = net.point_on_edge(0, 1e-7), Point.at_node(2)
+        assert net.path(a, c) == [a, Point.at_node(1), c]
+        assert net.path(c, a) == [c, Point.at_node(1), a]
+        assert net.branch_of(a, c).toward == 1
+        assert net.branch_of(a, Point.at_node(0)).toward == 0
+
     def test_point_along_path(self, unit_line3):
         a, b = Point.at_node(0), Point.at_node(2)
         mid = unit_line3.point_along_path(a, b, 1.5)
@@ -289,6 +300,29 @@ class TestLineHelpers:
         assert net.coordinate_of(net.point_on_edge(1, 0.5)) == pytest.approx(1.5)
         p = net.point_at_coordinate(1.5)
         assert net.coordinate_of(p) == pytest.approx(1.5)
+
+    def test_point_at_coordinate_is_the_scan(self):
+        # Lines with node 0 inside them, and edges shorter than ENDPOINT_SNAP
+        # so that several nodes lie within it of one coordinate.
+        lines = [net for net, _ in generate(GeneratorConfig(topology="line", min_nodes=1,
+                                                            max_nodes=9, seed=43), 20)]
+        lines.append(TreeNetwork(4, [(1, 0, 1.0), (0, 3, 4e-13), (3, 2, 2.0)]))
+        lines.append(TreeNetwork(5, [(4, 2, 1.0), (2, 0, 3e-13), (0, 3, 2e-13), (3, 1, 0.5)]))
+        for net in lines:
+            coords = net.line_coordinates()
+            probes = [c + d for c in coords for d in (0.0, 1e-13, -1e-13, 5e-13, -5e-13,
+                                                       1e-12, -1e-12, 2e-12, -2e-12)]
+            probes += [(coords[u] + coords[v]) / 2 for u, v, _ in net.edges]
+            for c in probes:
+                try:
+                    want = scan_point_at_coordinate(net, c)
+                except PointInvalidError:
+                    with pytest.raises(PointInvalidError):
+                        net.point_at_coordinate(c)
+                    continue
+                got = net.point_at_coordinate(c)
+                assert (got.node, got.edge, float.hex(got.offset)) == \
+                    (want.node, want.edge, float.hex(want.offset))
 
     def test_not_a_line(self):
         star = star_net(3)

@@ -20,7 +20,7 @@ from treefacility.objectives import (
 from treefacility.verify import check_wavg_movement
 
 from conftest import line_net, profile, star_net
-from oracles import grid_optimum
+from oracles import grid_optimum, sweep_minisos_point
 
 
 def uniform(m):
@@ -153,6 +153,25 @@ class TestWeightedAverage:
             v_out = sum(wi * net.distance(out, y) ** 2 for wi, y in zip(w, prof))
             assert net.distance(out, p_grid) <= 1e-4
             assert v_out <= v_grid * (1 + 1e-6) + 1e-12
+
+    def test_descent_is_the_edge_sweep_on_a_large_tree(self, rng):
+        # On a random tree the optimum sits at node 0; along a caterpillar's
+        # spine it lies inside an edge, where every bit of the offset shows.
+        interior = 0
+        for topology in ("random_tree", "caterpillar"):
+            cfg = GeneratorConfig(topology=topology, min_nodes=1000, max_nodes=1000,
+                                  min_agents=200, max_agents=200, seed=41)
+            net, prof = next(generate(cfg, 1))
+            locs = list(prof) + [prof[0]] * 3 + [Point.at_node(i) for i in (0, 7, 500)]
+            for k in range(4):
+                raw = [1.0] * len(locs) if k == 0 else [rng.random() for _ in locs]
+                w = [x / sum(raw) for x in raw]
+                got = weighted_average(net, locs, w)
+                want = sweep_minisos_point(net, locs, w)
+                assert (got.node, got.edge, float.hex(got.offset)) == \
+                    (want.node, want.edge, float.hex(want.offset))
+                interior += not got.is_node
+        assert interior >= 4
 
     def test_uniqueness_perturbed_points_are_worse(self, rng):
         cfg = GeneratorConfig(max_nodes=8, min_agents=2, max_agents=5, seed=29)

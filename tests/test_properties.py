@@ -1,4 +1,7 @@
-"""Property tests of distances, path steps, branches and subdivision on random trees."""
+"""Property tests of distances, path steps, branches, subdivision and the
+walks of the medians and of the miniSOS optimum on random trees."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -6,9 +9,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from treefacility.generators import GeneratorConfig, generate  # noqa: E402
-from treefacility.network import ENDPOINT_SNAP, Point, subdivide  # noqa: E402
+from treefacility.mechanisms import DGM, RandomizedDGM, TreeMedian  # noqa: E402
+from treefacility.network import ENDPOINT_SNAP, LocationProfile, Point, subdivide  # noqa: E402
+from treefacility.objectives import weighted_average  # noqa: E402
 
-from oracles import anchor_distance  # noqa: E402
+from oracles import anchor_distance, reference_walk, sweep_minisos_point  # noqa: E402
 
 TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
 GRID = 16  # points sit on a grid of edge sixteenths, so distinct points are far apart
@@ -142,3 +147,57 @@ def test_subdivide_snaps_and_preserves_distances(data):
         for q in kept:
             d_aug = aug.distance(Point.at_node(node_of[p]), Point.at_node(node_of[q]))
             assert d_aug == pytest.approx(net.distance(p, q), abs=1e-12)
+
+
+@st.composite
+def clustered_points(draw, net):
+    """Mixed points plus, on one edge, agents 0, 3e-13, 1e-12 or 2e-12
+    apart, and hand-built interior points at most ENDPOINT_SNAP from an
+    end (offsets ``point_on_edge`` would snap to the node) or just past it."""
+    out = draw(mixed_points(net))
+    if net.edges:
+        e = draw(st.integers(0, len(net.edges) - 1))
+        w = net.edges[e][2]
+        off = w * draw(st.integers(1, GRID - 1)) / GRID
+        for gap in draw(st.lists(st.sampled_from([0.0, 3e-13, 1e-12, 2e-12]), max_size=5)):
+            off += gap
+            out.append(net.point_on_edge(e, off))
+        nears = st.sampled_from([1e-13, 5e-13, ENDPOINT_SNAP, 2e-12])
+        for near in draw(st.lists(nears, max_size=3)):
+            out.append(Point(edge=e, offset=near if draw(st.booleans()) else w - near))
+    return draw(st.permutations(out))
+
+
+@SETTINGS
+@given(st.data())
+def test_median_walks_match_the_subdivided_reference(data):
+    net = data.draw(trees())
+    prof = LocationProfile(net, data.draw(clustered_points(net)))
+    n = len(prof)
+    assert TreeMedian().point(net, prof) == reference_walk(net, prof, None, lambda c: 2 * c > n)
+    for q in (Fraction(3, 5), Fraction(2, 3), Fraction(1)):
+        qualifies = lambda c: c * q.denominator >= q.numerator * n  # noqa: E731
+        expected = [reference_walk(net, prof, i, qualifies) for i in range(n)]
+        assert [DGM(i + 1, q).point(net, prof) for i in range(n)] == expected
+        if q <= Fraction(2, 3):
+            assert RandomizedDGM(q).member_points(net, prof) == expected
+
+
+def as_hex(p):
+    return ("node", p.node) if p.is_node else ("edge", p.edge, float.hex(p.offset))
+
+
+@SETTINGS
+@given(st.data())
+def test_minisos_descent_is_the_edge_sweep_bit_for_bit(data):
+    net = data.draw(trees())
+    points = data.draw(mixed_points(net))
+    points += grid_points(data.draw, net, data.draw(st.integers(0, 4)))
+    raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(points), max_size=len(points)))
+    assume(sum(raw) > 0.0)
+    weights = [x / sum(raw) for x in raw]
+    assume(abs(sum(weights) - 1.0) <= 1e-9)
+    for ws in (weights, [1.0 / len(points)] * len(points)):
+        got = weighted_average(net, points, ws)
+        if len(points) > 1:
+            assert as_hex(got) == as_hex(sweep_minisos_point(net, points, ws))
