@@ -8,6 +8,7 @@ sample, so evaluation is deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .network import (
@@ -21,14 +22,13 @@ from .objectives import (
     LocationDistribution,
     Objective,
     WeightInvalidError,
+    generalized_medians,
     make_distribution,
     median_point,
     optimal_location,
     point_mass,
     weighted_average,
-    _agent_context,
     _check_weights,
-    _descend,
 )
 
 
@@ -140,21 +140,10 @@ class TreeMedian(Mechanism):
         return point_mass(median_point(network, profile))
 
 
-def _generalized_medians(network, profile, q, roots):
-    """For each agent index in roots, the stop of the walk from that agent's
-    location into any branch holding at least fraction q of the agents
-    (one set of agent counts for all of them)."""
-    context = _agent_context(network, profile)
-    place = context[3]
-    num, den, n = q.numerator, q.denominator, len(profile)
-    qualifies = lambda count: count * den >= num * n
-    return [_descend(network, context, place[i], qualifies) for i in roots]
-
-
 class DGM(Mechanism):
-    """Dictatorial generalized median: root at agent i's report and descend
-    into any branch holding at least fraction q of the agents (q > 1/2, so at
-    most one branch ever qualifies)."""
+    """Dictatorial generalized median: walk from agent i's report into any
+    branch holding at least ceil(q n) of the agents (q > 1/2, so at most one
+    branch ever qualifies)."""
 
     boomerang = True
 
@@ -173,7 +162,8 @@ class DGM(Mechanism):
             raise IndexOutOfRangeError(
                 f"agent index {self.i} exceeds profile size {len(profile)}"
             )
-        return point_mass(_generalized_medians(network, profile, self.q, [self.i - 1])[0])
+        need = math.ceil(self.q * len(profile))
+        return point_mass(generalized_medians(network, profile, need, [self.i - 1])[0])
 
 
 def _compose(network, ys, weights):
@@ -259,7 +249,8 @@ class RandomizedDGM(Mechanism):
 
     def member_points(self, network, profile):
         """The n generalized-median outputs y_1..y_n."""
-        return _generalized_medians(network, profile, self.q, range(len(profile)))
+        n = len(profile)
+        return generalized_medians(network, profile, math.ceil(self.q * n), range(n))
 
     def run(self, network, profile):
         n = len(profile)

@@ -113,6 +113,10 @@ class TreeNetwork:
             raise CyclicError(
                 f"{len(edges)} edges on {node_count} nodes: the graph contains a cycle or duplicate edge (a tree has node_count - 1 edges)"
             )
+        if len(edges) < node_count - 1:
+            raise DisconnectedError(
+                f"{len(edges)} edges cannot connect {node_count} nodes (a tree has node_count - 1 edges)"
+            )
         seen = set()
         for u, v, w in edges:
             if not (0 <= u < node_count) or not (0 <= v < node_count):
@@ -422,11 +426,6 @@ class TreeNetwork:
     def to_json(self):
         return {"nodes": self.node_count, "edges": [[u, v, w] for u, v, w in self.edges]}
 
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_json(), sort_keys=True).encode()
-        ).hexdigest()[:12]
-
     def __eq__(self, other):
         return (
             isinstance(other, TreeNetwork)
@@ -549,6 +548,8 @@ def point_from_json(network: TreeNetwork, doc, where="point") -> Point:
 def profile_from_json(doc, base_dir=".") -> tuple[TreeNetwork, LocationProfile]:
     if not isinstance(doc, dict) or "locations" not in doc:
         raise NetworkError("profile document must have 'network' and 'locations'")
+    if not isinstance(doc["locations"], list):
+        raise NetworkError("'locations' must be a list of points")
     net_doc = doc.get("network")
     if isinstance(net_doc, str):
         import os

@@ -256,97 +256,66 @@ def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
 # -- optimal locations per objective ---------------------------------------
 
 
-def _agent_context(network, locations):
-    """Agent counts for the generalized-median walks on the tree rooted at
-    node 0, as (below, on_edge, clusters, place): the agents at the nodes of
-    v's subtree and inside its edges, the agents inside edge e, e's clusters
-    as [first offset, count] in offset order, and agent k's node or its
-    (edge, cluster index).  An agent inside an edge joins the current
-    cluster when its offset is within ENDPOINT_SNAP of the cluster's first
-    offset, as in ``subdivide``, and opens a new one otherwise.
+def generalized_medians(network: TreeNetwork, locations, need: int, roots):
+    """The generalized-median walk from each root (an agent index, or None
+    for node 0) into any branch holding at least ``need`` > n/2 agents.
+
+    Positions are the nodes and, inside each edge, its clusters of agents:
+    in offset order, an agent joins the current cluster when its offset is
+    within ENDPOINT_SNAP of the cluster's first offset, as in ``subdivide``,
+    and the cluster sits at that first offset.  On the tree rooted at node
+    0, sub(p) counts the agents at or below position p; the branch above p
+    holds n - sub(p) agents and a child c's branch sub(c), so at most one
+    branch qualifies.  A walk climbs while the branch above qualifies, then
+    descends while a child does.  The positions with sub(p) >= need form
+    one chain down from node 0, as two disjoint branches cannot both hold
+    more than half the agents, so every descent ends at its lowest position.
     """
-    below = [0] * network.node_count
-    inside = [[] for _ in network.edges]
-    for k, p in enumerate(locations):
-        if p.is_node:
-            below[p.node] += 1
-        else:
-            inside[p.edge].append((p.offset, k))
-    place = [p.node for p in locations]
-    clusters = [[] for _ in network.edges]
-    for e, agents in enumerate(inside):
-        cl = clusters[e]
-        for off, k in sorted(agents):
-            if not cl or off - cl[-1][0] > ENDPOINT_SNAP:
-                cl.append([off, 0])
-            cl[-1][1] += 1
-            place[k] = (e, len(cl) - 1)
-    on_edge = [len(agents) for agents in inside]
-    parent, parent_edge = network.parent, network.parent_edge
-    for v in reversed(network.order[1:]):
-        below[parent[v]] += below[v] + on_edge[parent_edge[v]]
-    return below, on_edge, clusters, place
-
-
-def _descend(network, context, start, qualifies):
-    """Walk from ``start`` (a node, or an agent's (edge, cluster index)) into
-    any branch whose agent count qualifies, and return the stop.
-
-    A child branch w of node a holds below[w] + on_edge[e] agents, and the
-    branch toward a's parent the other n - below[a].  Entering an edge, the
-    walk steps through its clusters and stops at the first one beyond which
-    the agents ahead no longer qualify.  With thresholds above n/2 at most
-    one branch can qualify, so the walk is deterministic.
-    """
-    below, on_edge, clusters, _ = context
-    n = below[0]
-    edges, parent = network.edges, network.parent
-
-    def through(e, ahead, cls):
-        """The stop among clusters ``cls`` of edge e, in walking order, with
-        ``ahead`` agents at or beyond the first; None past the last."""
-        for off, k in cls:
-            ahead -= k
-            if not qualifies(ahead):
-                return Point(edge=e, offset=off)
-        return None
-
-    a = start
-    if isinstance(start, tuple):
-        # From an agent's cluster, the walk toward an end passes that
-        # cluster first and stays there unless the agents beyond qualify.
-        e, j = start
-        u, v, _ = edges[e]
-        child = network.child_end(e)
-        beyond = {child: below[child], parent[child]: n - below[child] - on_edge[e]}
-        cl = clusters[e]
-        here = Point(edge=e, offset=cl[j][0])
-        for end, cls in ((u, cl[j::-1]), (v, cl[j:])):
-            stop = through(e, beyond[end] + sum(k for _, k in cls), cls)
-            if stop != here:
-                break
-        if stop is not None:
-            return stop
-        a = end
-    while True:
-        for w, e in network.adjacency[a]:
-            count = below[w] + on_edge[e] if parent[w] == a else n - below[a]
-            if qualifies(count):
-                stop = through(e, count, clusters[e] if edges[e][0] == a else clusters[e][::-1])
-                if stop is not None:
-                    return stop
-                a = w
-                break
-        else:
-            return Point.at_node(a)
+    n, N = len(locations), network.node_count
+    edges, parent, parent_edge = network.edges, network.parent, network.parent_edge
+    place = [p.node for p in locations]  # each agent's position
+    at = []  # (edge, first offset) of cluster position N + j
+    chains = {}  # edge -> its cluster positions in offset order
+    for e, off, k in sorted([(p.edge, p.offset, k) for k, p in enumerate(locations)
+                             if p.node is None]):
+        if not at or at[-1][0] != e or off - at[-1][1] > ENDPOINT_SNAP:
+            chains.setdefault(e, []).append(N + len(at))
+            at.append((e, off))
+        place[k] = N + len(at) - 1
+    up = [None] * (N + len(at))  # the position above each position
+    sub = [0] * (N + len(at))
+    for p in place:
+        sub[p] += 1
+    # Bottom up, hang each node below the clusters of its parent edge,
+    # nearest first, and add each position's count to the one above it.
+    for c in reversed(network.order[1:]):
+        e, p = parent_edge[c], c
+        cl = chains.get(e, ())
+        for b in (cl if edges[e][0] == c else cl[::-1]):
+            up[p] = b
+            sub[b] += sub[p]
+            p = b
+        up[p] = parent[c]
+        sub[parent[c]] += sub[p]
+    chain = [p for p, s in enumerate(sub) if s >= need]
+    has_child = {up[p] for p in chain}
+    low = next(p for p in chain if p not in has_child)
+    stops = []
+    for r in roots:
+        p = 0 if r is None else place[r]
+        while n - sub[p] >= need:
+            p = up[p]
+        if sub[p] >= need:
+            p = low
+        stops.append(Point(node=p) if p < N else Point(edge=at[p - N][0], offset=at[p - N][1]))
+    return stops
 
 
 def median_point(network: TreeNetwork, profile) -> Point:
     """Descend from node 0 into any branch holding strictly more than half
     the agents.  The stop minimizes the sum of distances; among ties it is
     the minimizer closest to node 0."""
-    n = len(profile)
-    return _descend(network, _agent_context(network, profile), 0, lambda count: 2 * count > n)
+    return generalized_medians(network, profile, len(profile) // 2 + 1, [None])[0]
 
 
 def _minimax_point(network, locations):

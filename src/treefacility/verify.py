@@ -14,7 +14,6 @@ from .network import (
     LocationProfile,
     Point,
     TreeNetwork,
-    instance_digest,
 )
 from .objectives import (
     Objective,
@@ -28,6 +27,7 @@ from .objectives import (
 SP_TOL = 1e-7
 IDENTITY_TOL = 1e-9
 HILL_ITERATIONS = 200  # local-search moves after the random phase of ratio_search
+DEVIATION_GRID = 16  # divisions per edge of the misreport grid
 
 
 class NotDeterministicError(ValueError):
@@ -49,10 +49,9 @@ class HypothesisViolatedError(ValueError):
 # -- deviation sets ---------------------------------------------------------
 
 
-def deviation_points(network: TreeNetwork, profile: LocationProfile,
-                     grid_divisions: int = 16):
+def deviation_points(network: TreeNetwork, profile: LocationProfile):
     """Candidate misreports: all nodes, all agent locations, and a uniform
-    grid on each edge at resolution length/grid_divisions."""
+    grid on each edge at resolution length/DEVIATION_GRID."""
     seen = {}
     for i in range(network.node_count):
         p = Point.at_node(i)
@@ -60,8 +59,8 @@ def deviation_points(network: TreeNetwork, profile: LocationProfile,
     for x in profile:
         seen[x] = x
     for e, (_, _, w) in enumerate(network.edges):
-        for j in range(1, grid_divisions):
-            p = network.point_on_edge(e, w * j / grid_divisions)
+        for j in range(1, DEVIATION_GRID):
+            p = network.point_on_edge(e, w * j / DEVIATION_GRID)
             seen[p] = p
     return list(seen)
 
@@ -83,12 +82,10 @@ class SPReport:
 
 
 def sp_check(mechanism: Mechanism, network: TreeNetwork,
-             profile: LocationProfile, deviations=None,
-             tolerance: float = SP_TOL) -> SPReport:
+             profile: LocationProfile, tolerance: float = SP_TOL) -> SPReport:
     """Max regret any agent can gain by any tested misreport (exact
     expectations, no sampling)."""
-    if deviations is None:
-        deviations = deviation_points(network, profile)
+    deviations = deviation_points(network, profile)
     base = mechanism.run(network, profile)
     true_costs = [expected_agent_cost(network, base, x) for x in profile]
     max_regret = float("-inf")
@@ -122,11 +119,10 @@ class BoomerangReport:
 
 
 def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
-                    profile: LocationProfile, deviations=None,
+                    profile: LocationProfile,
                     tolerance: float = SP_TOL) -> BoomerangReport:
     """Check that a deviator's cost increase equals the facility movement."""
-    if deviations is None:
-        deviations = deviation_points(network, profile)
+    deviations = deviation_points(network, profile)
     base = mechanism.run(network, profile)
     if not base.is_point_mass():
         raise NotDeterministicError(f"{mechanism.name} output has support > 1")
@@ -162,7 +158,6 @@ class RatioReport:
     mechanism_cost: float
     optimal_cost: float
     ratio: float | None  # None when the optimum is zero
-    digest: str
     exact_zero: bool = False
 
 
@@ -172,11 +167,10 @@ def approx_ratio(mechanism: Mechanism, network: TreeNetwork,
     dist = mechanism.run(network, profile)
     mech_cost = expected_social_cost(network, dist, profile, objective)
     _, opt_cost = optimal_location(network, profile, objective)
-    digest = instance_digest(network, profile)
     if opt_cost <= 0.0:
-        return RatioReport(mech_cost, opt_cost, None, digest,
+        return RatioReport(mech_cost, opt_cost, None,
                            exact_zero=(mech_cost <= IDENTITY_TOL))
-    return RatioReport(mech_cost, opt_cost, mech_cost / opt_cost, digest)
+    return RatioReport(mech_cost, opt_cost, mech_cost / opt_cost)
 
 
 def _perturb_point(rng, network, point, step) -> Point:
@@ -437,10 +431,10 @@ CSV_HEADER = [
 ]
 
 
-def csv_row(report: RatioReport, mechanism_name, objective, seed,
+def csv_row(digest, report: RatioReport, mechanism_name, objective, seed,
             max_regret=""):
     return [
-        report.digest, mechanism_name, objective.value,
+        digest, mechanism_name, objective.value,
         f"{report.mechanism_cost:.12g}", f"{report.optimal_cost:.12g}",
         "" if report.ratio is None else f"{report.ratio:.12g}",
         "" if max_regret == "" else f"{max_regret:.12g}",

@@ -1,4 +1,8 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +23,19 @@ def star_net(k, length=1.0):
 
 def profile(net, *points):
     return LocationProfile(net, points)
+
+
+def run_capped(code):
+    """Run Python source in a child process whose address space is capped
+    at 1 GiB, so code that allocates without bound fails with MemoryError
+    instead of exhausting the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], preexec_fn=cap, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from treefacility.network import (
 from treefacility.mechanisms import RandomDictator
 from treefacility.objectives import CostOverflowError, expected_social_cost, social_cost
 
-from conftest import line_net
+from conftest import line_net, run_capped
 
 
 def write_instance(path, network, profile):
@@ -146,6 +146,25 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("locations", [None, 5])
+    def test_eval_non_list_locations_exit_2(self, tmp_path, capsys, locations):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"network": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+                                    "locations": locations}))
+        code = cli.main(["eval", "--mech", "median", "--instance", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "locations" in err[0]
+
+    def test_eval_node_count_beyond_edges_exit_2(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"network": {"nodes": 10**20, "edges": []},
+                                    "locations": [{"node": 0}]}))
+        argv = ["eval", "--mech", "median", "--instance", str(path)]
+        done = run_capped(f"import sys\nfrom treefacility import cli\nsys.exit(cli.main({argv!r}))\n")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and "cannot connect" in done.stderr
+
     def test_eval_near_endpoint_offset_is_the_node(self, tmp_path, capsys):
         path = tmp_path / "snap.json"
         path.write_text(json.dumps({"network": {"nodes": 2, "edges": [[0, 1, 1.0]]},
@@ -177,6 +196,13 @@ class TestCLI:
         code = cli.main(["sp-check", "--mech", "avg-only", "--instance", path])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
+    def test_grid_option_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--mech", "median", "--budget", "1", "--grid", "0"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
 
     def test_boomerang_check(self, capsys):
         code = cli.main(["boomerang-check", "--mech", "kth:1", "--budget", "5",
@@ -286,6 +312,13 @@ class TestCLI:
     def test_rd_bound_applies_on_lines_only(self):
         assert cli._bound_for("rd", "minisos", "line") == 2.0
         assert cli._bound_for("rd", "minisos", "random_tree") is None
+
+    def test_bounds_are_keyed_by_family(self):
+        for q in ("2/3", "3/5"):
+            assert cli._bound_for(f"rdgm:{q}", "minisos", None) == 1.83
+        assert cli._bound_for("rdgm:2/3", "minisum", None) is None
+        assert cli._bound_for("median", "minisos", "star") == 2.0
+        assert cli._bound_for("dgm:1:2/3", "minisos", "line") is None
 
     def test_lemma_check(self, capsys):
         code = cli.main(["lemma-check", "--kind", "cost_difference",

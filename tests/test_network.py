@@ -19,7 +19,7 @@ from treefacility.network import (
 )
 from treefacility.objectives import social_cost
 
-from conftest import line_net, profile, star_net
+from conftest import line_net, profile, run_capped, star_net
 from oracles import scan_point_at_coordinate
 
 
@@ -36,6 +36,13 @@ class TestValidate:
     def test_missing_edge_is_disconnected(self):
         with pytest.raises(DisconnectedError):
             TreeNetwork(3, [(0, 1, 1)])
+
+    def test_too_few_edges_rejected_before_allocating(self):
+        # 10**20 adjacency lists would not fit in memory.
+        done = run_capped("from treefacility.network import DisconnectedError, TreeNetwork\n"
+                          "try:\n    TreeNetwork(10**20, [])\n"
+                          "except DisconnectedError:\n    print('rejected')\n")
+        assert done.stdout == "rejected\n", done.stderr
 
     def test_right_edge_count_wrong_wiring(self):
         with pytest.raises((CyclicError, DisconnectedError)):

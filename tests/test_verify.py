@@ -15,7 +15,7 @@ from treefacility.mechanisms import (
     RandomizedDGM,
     TreeMedian,
 )
-from treefacility.network import LocationProfile, Point, TreeNetwork
+from treefacility.network import LocationProfile, Point, TreeNetwork, instance_digest
 from treefacility.objectives import Objective, optimal_location
 from treefacility.verify import (
     BadOrderingError,
@@ -151,7 +151,7 @@ class TestRatioSearch:
         a = ratio_search(RandomDictator(), Objective.MINISOS, cfg, budget=30, seed=7)
         b = ratio_search(RandomDictator(), Objective.MINISOS, cfg, budget=30, seed=7)
         assert a[0].ratio == b[0].ratio
-        assert a[0].digest == b[0].digest
+        assert instance_digest(*a[1:]) == instance_digest(*b[1:])
 
     def test_rd_on_lines_pins_at_two(self):
         cfg = GeneratorConfig(topology="line", max_nodes=10, min_agents=2,
@@ -291,8 +291,10 @@ class TestCSV:
     def test_row_matches_header(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
         rep = approx_ratio(TreeMedian(), unit_line3, prof)
-        row = csv_row(rep, "median", Objective.MINISOS, 42, max_regret=0.0)
+        row = csv_row(instance_digest(unit_line3, prof), rep, "median", Objective.MINISOS, 42,
+                      max_regret=0.0)
         assert len(row) == len(CSV_HEADER)
+        assert row[0] == instance_digest(unit_line3, prof)
         assert row[1] == "median"
         assert row[2] == "minisos"
         assert row[-1] == "42"
