@@ -11,6 +11,7 @@ import csv
 import json
 import random
 import sys
+from operator import attrgetter
 
 from .generators import BadConfigError, GeneratorConfig, generate
 from .mechanisms import MechanismError, parse_mechanism
@@ -33,14 +34,14 @@ from . import verify as V
 # Paper-level worst-case bounds used by search and report.
 KNOWN_BOUNDS = {
     ("median", "minisos"): 2.0,
-    ("half-avg-rd", "minisos"): 1.5,
     ("lrm", "minimax"): 1.5,
     ("rdgm", "minisos"): 1.83,
 }
-# Bounds that hold on lines only: three agents at the leaves of a unit star
-# give rd a miniSOS ratio of 8/3.
+# Bounds that hold on lines only: one agent on each leaf of a unit star with k
+# leaves gives rd a miniSOS ratio of 4(k - 1)/k and half-avg-rd (5k - 4)/(2k).
 LINE_BOUNDS = {
     ("rd", "minisos"): 2.0,
+    ("half-avg-rd", "minisos"): 1.5,
 }
 
 USAGE_ERRORS = (
@@ -48,6 +49,12 @@ USAGE_ERRORS = (
     WeightInvalidError, DistributionInvalidError, V.BadParamsError,
     V.BadOrderingError, V.NotDeterministicError, json.JSONDecodeError, OSError,
 )
+
+# Misreport checks: command -> (check, what its report maximizes, help).
+MISREPORT_CHECKS = {
+    "sp-check": (V.sp_check, "regret", "strategyproofness check"),
+    "boomerang-check": (V.boomerang_check, "violation", "boomerang identity check"),
+}
 
 
 def _load_instance(path):
@@ -69,12 +76,6 @@ def _bound_for(mechanism_name, objective, topology):
 def _check_budget(args):
     if args.budget < 1:
         raise V.BadParamsError("budget must be >= 1")
-
-
-def _check_tolerance(args):
-    # A NaN tolerance would pass every check: no regret compares above it.
-    if not 0.0 <= args.tolerance < float("inf"):
-        raise V.BadParamsError(f"tolerance must be finite and >= 0, got {args.tolerance}")
 
 
 def _generator_config(args):
@@ -124,21 +125,14 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--objective", default="minisos")
 
-    p = sub.add_parser("sp-check", help="strategyproofness check")
-    p.add_argument("--mech", required=True)
-    p.add_argument("--instance")
-    p.add_argument("--budget", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=V.SP_TOL)
-    _add_generator_args(p)
-
-    p = sub.add_parser("boomerang-check", help="boomerang identity check")
-    p.add_argument("--mech", required=True)
-    p.add_argument("--instance")
-    p.add_argument("--budget", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=V.SP_TOL)
-    _add_generator_args(p)
+    for command, (_, _, help_text) in MISREPORT_CHECKS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--mech", required=True)
+        p.add_argument("--instance")
+        p.add_argument("--budget", type=int, default=50)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tolerance", type=float, default=V.SP_TOL)
+        _add_generator_args(p)
 
     p = sub.add_parser("ratio", help="approximation ratios over instances")
     p.add_argument("--mech", required=True)
@@ -215,35 +209,19 @@ def _instances(args):
     yield from generate(_generator_config(args), args.budget)
 
 
-def cmd_sp_check(args):
+def cmd_misreport_check(args):
     _check_budget(args)
-    _check_tolerance(args)
+    # A NaN tolerance would fail every check and an infinite one pass it.
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise V.BadParamsError(f"tolerance must be finite and >= 0, got {args.tolerance}")
+    check, label, _ = MISREPORT_CHECKS[args.command]
+    field = f"max_{label}"
     mech = parse_mechanism(args.mech)
-    worst = None
-    for network, profile in _instances(args):
-        rep = V.sp_check(mech, network, profile, args.tolerance)
-        if worst is None or rep.max_regret > worst.max_regret:
-            worst = rep
-    print(f"max_regret: {worst.max_regret:.3e} (tested {worst.tested_count} deviations)")
-    if worst.max_regret > args.tolerance:
-        print(f"FAIL: regret above tolerance {args.tolerance}")
-        return 1
-    print("OK")
-    return 0
-
-
-def cmd_boomerang_check(args):
-    _check_budget(args)
-    _check_tolerance(args)
-    mech = parse_mechanism(args.mech)
-    worst = None
-    for network, profile in _instances(args):
-        rep = V.boomerang_check(mech, network, profile, args.tolerance)
-        if worst is None or rep.max_violation > worst.max_violation:
-            worst = rep
-    print(f"max_violation: {worst.max_violation:.3e} (tested {worst.tested_count})")
-    if worst.max_violation > args.tolerance:
-        print(f"FAIL: violation above tolerance {args.tolerance}")
+    worst = max((check(mech, network, profile, args.tolerance)
+                 for network, profile in _instances(args)), key=attrgetter(field))
+    print(f"{field}: {getattr(worst, field):.3e} (tested {worst.tested_count} deviations)")
+    if not worst.holds:
+        print(f"FAIL: {label} above tolerance {args.tolerance}")
         return 1
     print("OK")
     return 0
@@ -338,20 +316,16 @@ def cmd_report(args):
                 try:
                     key = (row["mechanism"], row["objective"])
                     ratio = float(row["ratio"]) if row["ratio"] else None
-                    regret = float(row["max_regret"]) if row["max_regret"] else None
                 except (KeyError, ValueError) as exc:
                     raise NetworkError(f"{path}:{lineno}: malformed CSV row ({exc})")
-                g = groups.setdefault(key, {"ratios": [], "regrets": []})
+                ratios = groups.setdefault(key, [])
                 if ratio is not None:
-                    g["ratios"].append(ratio)
-                if regret is not None:
-                    g["regrets"].append(regret)
+                    ratios.append(ratio)
     header = ["mechanism", "objective", "instances", "max_ratio", "mean_ratio",
-              "max_regret", "bound", "flag"]
+              "bound", "flag"]
     rows = []
     flagged = 0
-    for (mech, obj), g in sorted(groups.items()):
-        ratios = g["ratios"]
+    for (mech, obj), ratios in sorted(groups.items()):
         # The CSVs carry no topology, so line-only bounds do not apply.
         bound = _bound_for(mech, obj, None)
         max_ratio = max(ratios) if ratios else None
@@ -361,7 +335,6 @@ def cmd_report(args):
             mech, obj, str(len(ratios)),
             "" if max_ratio is None else f"{max_ratio:.9g}",
             "" if not ratios else f"{sum(ratios) / len(ratios):.9g}",
-            "" if not g["regrets"] else f"{max(g['regrets']):.3e}",
             "" if bound is None else f"{bound:g}",
             "OVER-BOUND" if flag else "",
         ])
@@ -375,8 +348,8 @@ def cmd_report(args):
 COMMANDS = {
     "eval": cmd_eval,
     "opt": cmd_opt,
-    "sp-check": cmd_sp_check,
-    "boomerang-check": cmd_boomerang_check,
+    "sp-check": cmd_misreport_check,
+    "boomerang-check": cmd_misreport_check,
     "ratio": cmd_ratio,
     "search": cmd_search,
     "lemma-check": cmd_lemma_check,

@@ -224,17 +224,14 @@ class RandomDictator(Mechanism):
 
 
 class HalfAvgHalfRD(Mechanism):
-    """The average location with probability 1/2, each agent with 1/(2n)."""
+    """The composition over the n dictators with uniform weights: the
+    average location with probability 1/2, each agent with 1/(2n)."""
 
     name = "half-avg-rd"
 
     def run(self, network, profile):
-        _require_line(network)
         n = len(profile)
-        mean = sum(network.coordinate_of(x) for x in profile) / n
-        pairs = [(network.point_at_coordinate(mean), 0.5)]
-        pairs.extend((x, 0.5 / n) for x in profile)
-        return make_distribution(pairs)
+        return _compose(network, list(profile), [1.0 / n] * n)
 
 
 class RandomizedDGM(Mechanism):

@@ -132,7 +132,9 @@ def expected_social_cost(network: TreeNetwork, dist: LocationDistribution,
 
 def expected_agent_cost(network: TreeNetwork, dist: LocationDistribution,
                         x: Point) -> float:
-    return sum(prob * network.distance(y, x) for y, prob in dist)
+    """Expected distance from x to a mechanism's output on this network."""
+    dists = network.distances_from(x, dist.points)
+    return sum(prob * d for (_, prob), d in zip(dist, dists))
 
 
 # -- weighted average (sum-of-squares minimizer) ---------------------------

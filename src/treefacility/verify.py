@@ -65,7 +65,17 @@ def deviation_points(network: TreeNetwork, profile: LocationProfile):
     return list(seen)
 
 
-# -- strategyproofness ------------------------------------------------------
+# -- misreport checks: strategyproofness and the boomerang identity ---------
+
+
+def _misreports(mechanism: Mechanism, network: TreeNetwork, profile: LocationProfile):
+    """(agent, true location, misreport, output) for every agent and every
+    deviation point other than the agent's own location."""
+    deviations = deviation_points(network, profile)
+    for i, x in enumerate(profile):
+        for p in deviations:
+            if p != x:
+                yield i, x, p, mechanism.run(network, profile.replace(network, i, p))
 
 
 @dataclass
@@ -85,23 +95,18 @@ def sp_check(mechanism: Mechanism, network: TreeNetwork,
              profile: LocationProfile, tolerance: float = SP_TOL) -> SPReport:
     """Max regret any agent can gain by any tested misreport (exact
     expectations, no sampling)."""
-    deviations = deviation_points(network, profile)
     base = mechanism.run(network, profile)
     true_costs = [expected_agent_cost(network, base, x) for x in profile]
     max_regret = float("-inf")
     worst = None
     tested = 0
-    for i, x in enumerate(profile):
-        for p in deviations:
-            if p == x:
-                continue
-            deviated = mechanism.run(network, profile.replace(network, i, p))
-            dev_cost = expected_agent_cost(network, deviated, x)
-            tested += 1
-            regret = true_costs[i] - dev_cost
-            if regret > max_regret:
-                max_regret = regret
-                worst = (i, p, true_costs[i], dev_cost)
+    for i, x, p, out in _misreports(mechanism, network, profile):
+        dev_cost = expected_agent_cost(network, out, x)
+        tested += 1
+        regret = true_costs[i] - dev_cost
+        if regret > max_regret:
+            max_regret = regret
+            worst = (i, p, true_costs[i], dev_cost)
     return SPReport(max_regret=max(max_regret, 0.0), worst_case=worst,
                     tested_count=tested, tolerance=tolerance)
 
@@ -109,7 +114,7 @@ def sp_check(mechanism: Mechanism, network: TreeNetwork,
 @dataclass
 class BoomerangReport:
     max_violation: float
-    worst_case: tuple | None
+    worst_case: tuple | None  # (agent, misreport, output, deviated output)
     tested_count: int
     tolerance: float = SP_TOL
 
@@ -118,34 +123,29 @@ class BoomerangReport:
         return self.max_violation <= self.tolerance
 
 
+def _the_point(mechanism, dist) -> Point:
+    if not dist.is_point_mass():
+        raise NotDeterministicError(f"{mechanism.name} output has support > 1")
+    return dist.the_point()
+
+
 def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
                     profile: LocationProfile,
                     tolerance: float = SP_TOL) -> BoomerangReport:
     """Check that a deviator's cost increase equals the facility movement."""
-    deviations = deviation_points(network, profile)
-    base = mechanism.run(network, profile)
-    if not base.is_point_mass():
-        raise NotDeterministicError(f"{mechanism.name} output has support > 1")
-    y = base.the_point()
+    y = _the_point(mechanism, mechanism.run(network, profile))
+    true_costs = network.distances_from(y, profile)
     max_violation = 0.0
     worst = None
     tested = 0
-    for i, x in enumerate(profile):
-        cost_true = network.distance(y, x)
-        for p in deviations:
-            if p == x:
-                continue
-            out = mechanism.run(network, profile.replace(network, i, p))
-            if not out.is_point_mass():
-                raise NotDeterministicError(f"{mechanism.name} output has support > 1")
-            y2 = out.the_point()
-            tested += 1
-            violation = abs(
-                (network.distance(y2, x) - cost_true) - network.distance(y2, y)
-            )
-            if violation > max_violation:
-                max_violation = violation
-                worst = (i, p, y, y2)
+    for i, x, p, out in _misreports(mechanism, network, profile):
+        y2 = _the_point(mechanism, out)
+        tested += 1
+        to_x, to_y = network.distances_from(y2, (x, y))
+        violation = abs((to_x - true_costs[i]) - to_y)
+        if violation > max_violation:
+            max_violation = violation
+            worst = (i, p, y, y2)
     return BoomerangReport(max_violation=max_violation, worst_case=worst,
                            tested_count=tested, tolerance=tolerance)
 
@@ -427,16 +427,14 @@ def lower_bound_witness(kind: str, **params):
 
 CSV_HEADER = [
     "instance_digest", "mechanism", "objective",
-    "mech_cost", "opt_cost", "ratio", "max_regret", "seed",
+    "mech_cost", "opt_cost", "ratio", "seed",
 ]
 
 
-def csv_row(digest, report: RatioReport, mechanism_name, objective, seed,
-            max_regret=""):
+def csv_row(digest, report: RatioReport, mechanism_name, objective, seed):
     return [
         digest, mechanism_name, objective.value,
         f"{report.mechanism_cost:.12g}", f"{report.optimal_cost:.12g}",
         "" if report.ratio is None else f"{report.ratio:.12g}",
-        "" if max_regret == "" else f"{max_regret:.12g}",
         str(seed),
     ]

@@ -362,6 +362,7 @@ class TestReport:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["flag"] == "" for row in rows)
+        assert "max_regret" not in rows[0]
         half = next(r for r in rows if r["mechanism"] == "half-avg-rd")
         assert float(half["max_ratio"]) == pytest.approx(1.5, abs=1e-9)
         assert float(half["mean_ratio"]) == pytest.approx(1.5, abs=1e-9)
@@ -381,13 +382,16 @@ class TestReport:
         assert "OVER-BOUND" in text
 
     def test_rd_row_is_not_held_to_the_line_bound(self, tmp_path, capsys):
-        # A CSV carries no topology, so rd's line-only bound does not apply.
+        # A CSV carries no topology, so the line-only bounds of rd and
+        # half-avg-rd do not apply.
         rows = tmp_path / "rd.csv"
         with open(rows, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["instance_digest", "mechanism", "objective",
                         "mech_cost", "opt_cost", "ratio", "max_regret", "seed"])
             w.writerow(["deadbeef0000", "rd", "minisos", "8", "3", "2.666666667", "", "1"])
+            w.writerow(["deadbeef0000", "half-avg-rd", "minisos", "5.5", "3",
+                        "1.833333333", "", "1"])
         out = tmp_path / "report.csv"
         assert cli.main(["report", str(rows), "--out", str(out)]) == 0
         assert "OVER-BOUND" not in out.read_text()

@@ -222,6 +222,21 @@ class TestLineMechanisms:
         d = HalfAvgHalfRD().run(unit_line3, prof)
         assert coords_dist(unit_line3, d) == [(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)]
 
+    def test_half_avg_half_rd_coincident_agents_give_a_point_mass(self):
+        net = TreeNetwork(3, [(0, 1, 0.7), (1, 2, 0.3)])
+        p = net.point_on_edge(0, 0.1)
+        d = HalfAvgHalfRD().run(net, profile(net, p, p, p))
+        assert d.the_point() == p
+
+    @pytest.mark.parametrize("k", [3, 4, 10])
+    def test_half_avg_half_rd_on_a_star(self, k):
+        # The average is the centre, at cost k; each leaf costs 4(k - 1).
+        net = star_net(k)
+        prof = profile(net, *(Point.at_node(i) for i in range(1, k + 1)))
+        cost = expected_social_cost(net, HalfAvgHalfRD().run(net, prof), prof)
+        _, opt = optimal_location(net, prof)
+        assert cost / opt == pytest.approx((5 * k - 4) / (2 * k), abs=1e-12)
+
     def test_half_avg_half_rd_unbalanced(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(0), Point.at_node(2))
         d = HalfAvgHalfRD().run(unit_line3, prof)
@@ -308,12 +323,13 @@ class TestEquivalences:
             assert_dist_close(net, LRM().run(net, prof), pb.run(net, prof))
 
     def test_half_avg_half_rd_is_pb_of_dictators(self, rng):
-        cfg = GeneratorConfig(topology="line", max_nodes=5, min_agents=2,
-                              max_agents=6, seed=67)
-        for net, prof in generate(cfg, 15):
-            n = len(prof)
-            pb = PB([Dictator(i + 1) for i in range(n)], [1.0 / n] * n)
-            assert_dist_close(net, HalfAvgHalfRD().run(net, prof), pb.run(net, prof))
+        for topology in ("line", "random_tree"):
+            cfg = GeneratorConfig(topology=topology, max_nodes=5, min_agents=2,
+                                  max_agents=6, seed=67)
+            for net, prof in generate(cfg, 15):
+                n = len(prof)
+                pb = PB([Dictator(i + 1) for i in range(n)], [1.0 / n] * n)
+                assert HalfAvgHalfRD().run(net, prof) == pb.run(net, prof)
 
 
 class TestDistributionInvariants:

@@ -107,6 +107,16 @@ class TestBoomerangCheck:
             boomerang_check(RandomDictator(), unit_line3, prof)
 
 
+class TestMisreportSweep:
+    def test_both_checks_test_every_misreport(self):
+        # The set holds every agent's own location, which each agent skips.
+        cfg = GeneratorConfig(max_nodes=8, min_agents=3, max_agents=5, seed=29)
+        net, prof = next(generate(cfg, 1))
+        expected = len(prof) * (len(deviation_points(net, prof)) - 1)
+        assert sp_check(TreeMedian(), net, prof).tested_count == expected
+        assert boomerang_check(TreeMedian(), net, prof).tested_count == expected
+
+
 class TestApproxRatio:
     def test_rd_on_pair(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
@@ -291,8 +301,7 @@ class TestCSV:
     def test_row_matches_header(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
         rep = approx_ratio(TreeMedian(), unit_line3, prof)
-        row = csv_row(instance_digest(unit_line3, prof), rep, "median", Objective.MINISOS, 42,
-                      max_regret=0.0)
+        row = csv_row(instance_digest(unit_line3, prof), rep, "median", Objective.MINISOS, 42)
         assert len(row) == len(CSV_HEADER)
         assert row[0] == instance_digest(unit_line3, prof)
         assert row[1] == "median"
