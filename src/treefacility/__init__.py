@@ -20,7 +20,6 @@ from .objectives import (
     optimal_location,
     point_mass,
     social_cost,
-    verify_wavg_condition,
     weighted_average,
 )
 from .mechanisms import (

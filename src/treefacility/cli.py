@@ -16,6 +16,7 @@ from operator import attrgetter
 from .generators import BadConfigError, GeneratorConfig, generate
 from .mechanisms import MechanismError, parse_mechanism
 from .network import (
+    BOUND_TOL,
     NetworkError,
     PointInvalidError,
     instance_digest,
@@ -26,7 +27,6 @@ from .objectives import (
     DistributionInvalidError,
     Objective,
     WeightInvalidError,
-    expected_social_cost,
     optimal_location,
 )
 from . import verify as V
@@ -47,7 +47,7 @@ LINE_BOUNDS = {
 USAGE_ERRORS = (
     NetworkError, PointInvalidError, MechanismError, BadConfigError,
     WeightInvalidError, DistributionInvalidError, V.BadParamsError,
-    V.BadOrderingError, V.NotDeterministicError, json.JSONDecodeError, OSError,
+    V.NotDeterministicError, json.JSONDecodeError, OSError,
 )
 
 # Misreport checks: command -> (check, what its report maximizes, help).
@@ -179,17 +179,14 @@ def build_parser():
 def cmd_eval(args):
     network, profile = _load_instance(args.instance)
     mech = parse_mechanism(args.mech)
-    objective = Objective.parse(args.objective)
-    dist = mech.run(network, profile)
-    cost = expected_social_cost(network, dist, profile, objective)
-    _, opt_cost = optimal_location(network, profile, objective)
-    print("distribution:", json.dumps(dist.to_json()))
-    print(f"cost: {cost:.12g}")
-    print(f"opt: {opt_cost:.12g}")
-    if opt_cost > 0:
-        print(f"ratio: {cost / opt_cost:.12g}")
+    rep = V.approx_ratio(mech, network, profile, Objective.parse(args.objective))
+    print("distribution:", json.dumps(rep.distribution.to_json()))
+    print(f"cost: {rep.mechanism_cost:.12g}")
+    print(f"opt: {rep.optimal_cost:.12g}")
+    if rep.ratio is not None:
+        print(f"ratio: {rep.ratio:.12g}")
     else:
-        print("ratio: exact" if cost <= 1e-9 else "ratio: undefined (opt = 0)")
+        print("ratio: exact" if rep.exact_zero else "ratio: undefined (opt = 0)")
     return 0
 
 
@@ -255,7 +252,7 @@ def cmd_search(args):
             json.dump(instance_to_json(network, profile), fh, indent=2)
         print(f"instance written to {args.out}")
     bound = _bound_for(mech.name, objective.value, args.topology)
-    if bound is not None and rep.ratio > bound + 1e-6:
+    if bound is not None and rep.ratio > bound + BOUND_TOL:
         print(f"FAIL: ratio exceeds bound {bound}")
         return 1
     return 0
@@ -267,8 +264,7 @@ def cmd_lemma_check(args):
     worst = 0.0
     for _ in range(args.budget):
         rep = V.lemma_identity_check(args.kind, rng)
-        gap = (rep.lhs - rep.rhs) if args.kind == "wavg_movement" else abs(rep.lhs - rep.rhs)
-        worst = max(worst, gap)
+        worst = max(worst, rep.gap)
         if not rep.holds:
             print(f"FAIL: {args.kind} lhs={rep.lhs:.12g} rhs={rep.rhs:.12g}")
             return 1
@@ -318,21 +314,21 @@ def cmd_report(args):
                     ratio = float(row["ratio"]) if row["ratio"] else None
                 except (KeyError, ValueError) as exc:
                     raise NetworkError(f"{path}:{lineno}: malformed CSV row ({exc})")
-                ratios = groups.setdefault(key, [])
-                if ratio is not None:
-                    ratios.append(ratio)
-    header = ["mechanism", "objective", "instances", "max_ratio", "mean_ratio",
+                groups.setdefault(key, []).append(ratio)
+    header = ["mechanism", "objective", "instances", "zero_opt", "max_ratio", "mean_ratio",
               "bound", "flag"]
     rows = []
     flagged = 0
-    for (mech, obj), ratios in sorted(groups.items()):
+    for (mech, obj), group in sorted(groups.items()):
+        # A row without a ratio had a zero optimum.
+        ratios = [r for r in group if r is not None]
         # The CSVs carry no topology, so line-only bounds do not apply.
         bound = _bound_for(mech, obj, None)
         max_ratio = max(ratios) if ratios else None
-        flag = bound is not None and max_ratio is not None and max_ratio > bound + 1e-6
+        flag = bound is not None and max_ratio is not None and max_ratio > bound + BOUND_TOL
         flagged += bool(flag)
         rows.append([
-            mech, obj, str(len(ratios)),
+            mech, obj, str(len(group)), str(len(group) - len(ratios)),
             "" if max_ratio is None else f"{max_ratio:.9g}",
             "" if not ratios else f"{sum(ratios) / len(ratios):.9g}",
             "" if bound is None else f"{bound:g}",

@@ -13,12 +13,11 @@ from fractions import Fraction
 
 from .network import (
     LocationProfile,
-    NetworkError,
+    NotALineError,  # noqa: F401  raised by the line-only mechanisms
     Point,
     TreeNetwork,
 )
 from .objectives import (
-    EmptyInputError,
     LocationDistribution,
     Objective,
     WeightInvalidError,
@@ -40,10 +39,6 @@ class IndexOutOfRangeError(MechanismError):
     pass
 
 
-class NotALineError(MechanismError):
-    pass
-
-
 class QOutOfRangeError(MechanismError):
     pass
 
@@ -56,13 +51,9 @@ class NeedTwoAgentsError(MechanismError):
     pass
 
 
-def _require_line(network):
-    if not network.is_line():
-        raise NotALineError("this mechanism is defined on line networks only")
-
-
 def _sorted_agents(network, profile):
-    """(coordinate, agent point) pairs in line order."""
+    """(coordinate, agent point) pairs in line order; NotALineError when the
+    network is not a path."""
     return sorted(((network.coordinate_of(x), x) for x in profile), key=lambda cx: cx[0])
 
 
@@ -119,12 +110,12 @@ class KthLocation(Mechanism):
         self.name = f"kth:{k}"
 
     def run(self, network, profile):
-        _require_line(network)
-        n = len(profile)
+        agents = _sorted_agents(network, profile)
+        n = len(agents)
         k = n if self.k == "n" else self.k
         if k > n:
             raise IndexOutOfRangeError(f"order statistic {k} exceeds profile size {n}")
-        return point_mass(_sorted_agents(network, profile)[k - 1][1])
+        return point_mass(agents[k - 1][1])
 
 
 class TreeMedian(Mechanism):
@@ -135,8 +126,6 @@ class TreeMedian(Mechanism):
     name = "median"
 
     def run(self, network, profile):
-        if len(profile) == 0:
-            raise EmptyInputError("profile is empty")
         return point_mass(median_point(network, profile))
 
 
@@ -203,7 +192,6 @@ class LRM(Mechanism):
     name = "lrm"
 
     def run(self, network, profile):
-        _require_line(network)
         agents = _sorted_agents(network, profile)
         lo, hi = agents[0], agents[-1]
         return make_distribution([
@@ -218,8 +206,6 @@ class RandomDictator(Mechanism):
 
     def run(self, network, profile):
         n = len(profile)
-        if n == 0:
-            raise EmptyInputError("profile is empty")
         return make_distribution((x, 1.0 / n) for x in profile)
 
 
@@ -251,8 +237,6 @@ class RandomizedDGM(Mechanism):
 
     def run(self, network, profile):
         n = len(profile)
-        if n == 0:
-            raise EmptyInputError("profile is empty")
         return _compose(network, self.member_points(network, profile), [1.0 / n] * n)
 
 
@@ -263,11 +247,10 @@ class ConsecutiveMidpoints(Mechanism):
     name = "midpoints"
 
     def run(self, network, profile):
-        _require_line(network)
-        n = len(profile)
+        agents = _sorted_agents(network, profile)
+        n = len(agents)
         if n < 2:
             raise NeedTwoAgentsError("needs at least two agents")
-        agents = _sorted_agents(network, profile)
         pairs = [(agents[0][1], 0.5 / n), (agents[-1][1], 0.5 / n)]
         for a, b in zip(agents, agents[1:]):
             pairs.append((_midpoint(network, a, b), 1.0 / n))

@@ -14,9 +14,18 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-# Offsets within this distance of an edge endpoint collapse to the endpoint
-# node; derived-distance comparisons elsewhere use the looser 1e-9.
+# -- tolerances -------------------------------------------------------------
+# The package's only tolerances: each float comparison with slack reads one.
+# An offset this close to an edge's end is that end, agents this close on one
+# edge share a position, and a search step this short has stopped moving.
 ENDPOINT_SNAP = 1e-12
+# Rounding slack on derived sums: probabilities and weights that total 1, a
+# distance along a path, the lemma identities, and a zero-cost output.
+ROUND_TOL = 1e-9
+# Default regret (or boomerang violation) a misreport may show in a check.
+SP_TOL = 1e-7
+# Slack before a searched or reported ratio counts as above its paper bound.
+BOUND_TOL = 1e-6
 
 
 class NetworkError(ValueError):
@@ -37,6 +46,10 @@ class NonPositiveLengthError(NetworkError):
 
 class BadNodeIdError(NetworkError):
     pass
+
+
+class NotALineError(NetworkError):
+    """A line-only operation was asked of a network that is not a path."""
 
 
 class PointInvalidError(ValueError):
@@ -329,7 +342,7 @@ class TreeNetwork:
     def point_along_path(self, a: Point, b: Point, dist: float) -> Point:
         """The point at the given distance from a along path(a, b)."""
         total = self.distance(a, b)
-        if dist < -1e-9 or dist > total + 1e-9:
+        if dist < -ROUND_TOL or dist > total + ROUND_TOL:
             raise PointInvalidError(f"distance {dist} outside [0, {total}]")
         pts = self.path(a, b)
         acc = 0.0
@@ -337,7 +350,7 @@ class TreeNetwork:
             e = self._edge_of(p, q)
             start, end = self._offset_on(e, p), self._offset_on(e, q)
             seg = abs(end - start)
-            if acc + seg >= dist - 1e-12:
+            if acc + seg >= dist - ENDPOINT_SNAP:
                 t = dist - acc
                 return self.point_on_edge(e, start + t if end >= start else start - t)
             acc += seg
@@ -356,20 +369,6 @@ class TreeNetwork:
         toward = u if self._offset_on(e, step) < self._offset_on(e, p) else v
         return BranchId(anchor=p, toward=toward, via_edge=e)
 
-    def branches_at(self, p: Point):
-        """All branches of T(G, p), in deterministic order."""
-        self.check_point(p)
-        if p.is_node:
-            return [
-                BranchId(anchor=p, toward=v, via_edge=e)
-                for v, e in sorted(self._adj[p.node])
-            ]
-        u, v, _ = self.edges[p.edge]
-        return [
-            BranchId(anchor=p, toward=u, via_edge=p.edge),
-            BranchId(anchor=p, toward=v, via_edge=p.edge),
-        ]
-
     # -- line helpers -------------------------------------------------------
 
     def is_line(self) -> bool:
@@ -378,10 +377,11 @@ class TreeNetwork:
     def _line_walk(self):
         """(coordinates, nodes, xs): every node's coordinate, measured from
         the origin endpoint (node 0 when it is an endpoint), the nodes in
-        path order from there, and their coordinates in that order."""
+        path order from there, and their coordinates in that order.  The
+        only check that a line-only operation runs on a path."""
         if self._line is None:
             if not self.is_line():
-                raise NetworkError("network is not a path")
+                raise NotALineError("network is not a line: a node has more than two neighbours")
             ends = [i for i in range(self.node_count) if len(self._adj[i]) == 1]
             coords, nodes = self._bfs(0 if not ends or 0 in ends else min(ends))
             self._line = (coords, nodes, [coords[i] for i in nodes])

@@ -20,15 +20,13 @@ from dataclasses import dataclass
 
 from .network import (
     ENDPOINT_SNAP,
+    ROUND_TOL,
     LocationProfile,
     NetworkError,
     Point,
     TreeNetwork,
     point_sort_key,
 )
-
-PROB_TOL = 1e-9
-COST_TOL = 1e-9
 
 
 class DistributionInvalidError(ValueError):
@@ -89,14 +87,14 @@ def make_distribution(pairs) -> LocationDistribution:
     """Merge duplicate points, validate probabilities, fix support order."""
     merged: dict[Point, float] = {}
     for p, prob in pairs:
-        if prob < -PROB_TOL:
+        if prob < -ROUND_TOL:
             raise DistributionInvalidError(f"negative probability {prob} at {p}")
         merged[p] = merged.get(p, 0.0) + prob
     merged = {p: q for p, q in merged.items() if q > 0.0}
     if not merged:
         raise DistributionInvalidError("empty support")
     total = sum(merged.values())
-    if abs(total - 1.0) > PROB_TOL:
+    if abs(total - 1.0) > ROUND_TOL:
         raise DistributionInvalidError(f"probabilities sum to {total}, expected 1")
     support = tuple(sorted(merged.items(), key=lambda kv: point_sort_key(kv[0])))
     return LocationDistribution(support=support)
@@ -143,10 +141,10 @@ def expected_agent_cost(network: TreeNetwork, dist: LocationDistribution,
 def _check_weights(weights, m):
     if len(weights) != m:
         raise WeightInvalidError(f"{len(weights)} weights for {m} locations")
-    if any(w < -PROB_TOL for w in weights):
+    if any(w < -ROUND_TOL for w in weights):
         raise WeightInvalidError("weights must be nonnegative")
     total = sum(weights)
-    if abs(total - 1.0) > PROB_TOL:
+    if abs(total - 1.0) > ROUND_TOL:
         raise WeightInvalidError(f"weights sum to {total}, expected 1")
 
 
@@ -228,33 +226,6 @@ def weighted_average(network: TreeNetwork, locations, weights) -> Point:
     return _minisos_point(network, locations, list(weights))
 
 
-def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
-                          weights, tol: float = COST_TOL):
-    """Check the per-branch optimality condition at the candidate point.
-
-    For each branch at the candidate, the weighted distance mass inside the
-    branch must not exceed the mass outside it.  Returns (holds, report)
-    where report lists (branch, inside_sum, outside_sum).
-    """
-    locations = [network.check_point(y) for y in locations]
-    _check_weights(weights, len(locations))
-    dists = network.distances_from(candidate, locations)
-    total = sum(w * d for w, d in zip(weights, dists))
-    report = []
-    holds = True
-    for branch in network.branches_at(candidate):
-        inside = 0.0
-        for i, y in enumerate(locations):
-            b = network.branch_of(candidate, y)
-            if b == branch:
-                inside += weights[i] * dists[i]
-        outside = total - inside
-        report.append((branch, inside, outside))
-        if inside > outside + tol:
-            holds = False
-    return holds, report
-
-
 # -- optimal locations per objective ---------------------------------------
 
 
@@ -333,8 +304,6 @@ def _minimax_point(network, locations):
 def optimal_location(network: TreeNetwork, profile: LocationProfile,
                      objective: Objective = Objective.MINISOS):
     """(optimal point, optimal social cost) for the given objective."""
-    if len(profile) == 0:
-        raise EmptyInputError("profile is empty")
     locs = list(profile)
     if objective is Objective.MINISOS:
         point = _minisos_point(network, locs, [1.0] * len(locs))

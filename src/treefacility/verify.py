@@ -6,16 +6,20 @@ structural cost identities.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .generators import GeneratorConfig, generate, line_with_coordinates, random_point
 from .mechanisms import Mechanism
 from .network import (
+    ENDPOINT_SNAP,
+    ROUND_TOL,
+    SP_TOL,
     LocationProfile,
     Point,
     TreeNetwork,
 )
 from .objectives import (
+    LocationDistribution,
     Objective,
     expected_agent_cost,
     expected_social_cost,
@@ -24,17 +28,11 @@ from .objectives import (
     weighted_average,
 )
 
-SP_TOL = 1e-7
-IDENTITY_TOL = 1e-9
 HILL_ITERATIONS = 200  # local-search moves after the random phase of ratio_search
 DEVIATION_GRID = 16  # divisions per edge of the misreport grid
 
 
 class NotDeterministicError(ValueError):
-    pass
-
-
-class BadOrderingError(ValueError):
     pass
 
 
@@ -155,10 +153,11 @@ def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
 
 @dataclass
 class RatioReport:
+    distribution: LocationDistribution  # the mechanism's output that was scored
     mechanism_cost: float
     optimal_cost: float
     ratio: float | None  # None when the optimum is zero
-    exact_zero: bool = False
+    exact_zero: bool = False  # zero optimum, and the mechanism within ROUND_TOL of it
 
 
 def approx_ratio(mechanism: Mechanism, network: TreeNetwork,
@@ -168,9 +167,8 @@ def approx_ratio(mechanism: Mechanism, network: TreeNetwork,
     mech_cost = expected_social_cost(network, dist, profile, objective)
     _, opt_cost = optimal_location(network, profile, objective)
     if opt_cost <= 0.0:
-        return RatioReport(mech_cost, opt_cost, None,
-                           exact_zero=(mech_cost <= IDENTITY_TOL))
-    return RatioReport(mech_cost, opt_cost, mech_cost / opt_cost)
+        return RatioReport(dist, mech_cost, opt_cost, None, exact_zero=mech_cost <= ROUND_TOL)
+    return RatioReport(dist, mech_cost, opt_cost, mech_cost / opt_cost)
 
 
 def _perturb_point(rng, network, point, step) -> Point:
@@ -212,7 +210,7 @@ def ratio_search(mechanism: Mechanism, objective: Objective,
     rng = random.Random(seed ^ 0x9E3779B9)
     step = max(w for _, _, w in network.edges) / 4 if network.edges else 0.0
     for _ in range(HILL_ITERATIONS):
-        if step <= 1e-12:
+        if step <= ENDPOINT_SNAP:
             break
         i = rng.randrange(len(profile))
         cand = profile.replace(network, i, _perturb_point(rng, network, profile[i], step))
@@ -224,36 +222,6 @@ def ratio_search(mechanism: Mechanism, objective: Objective,
     return rep, network, profile
 
 
-# -- necessary-condition tests (coordinated-arrival inequalities) -----------
-
-
-def immigrants_check(mechanism: Mechanism, a: float, b: float, c: float, n: int):
-    """SP necessary conditions over the two-block profiles with n-m agents at
-    a and m agents at c (or b).  Violations certify non-strategyproofness.
-
-    Returns (holds, rows) with one row per m: (m, lhs1, rhs1, lhs2, rhs2).
-    """
-    if not (a <= b <= c) or (a == b == c):
-        raise BadOrderingError(f"need a <= b <= c with a strict inequality, got {a}, {b}, {c}")
-    network, resolve = line_with_coordinates([a, b, c])
-    pa, pb, pc = resolve(a), resolve(b), resolve(c)
-    rows = []
-    holds = True
-    for m in range(1, n + 1):
-        x0 = LocationProfile(network, [pa] * (n - m) + [pc] * m)
-        xm = LocationProfile(network, [pa] * (n - m) + [pb] * m)
-        d0 = mechanism.run(network, x0)
-        dm = mechanism.run(network, xm)
-        c_from_0 = expected_agent_cost(network, d0, pc)
-        c_from_m = expected_agent_cost(network, dm, pc)
-        b_from_m = expected_agent_cost(network, dm, pb)
-        b_from_0 = expected_agent_cost(network, d0, pb)
-        rows.append((m, c_from_0, c_from_m, b_from_m, b_from_0))
-        if c_from_0 > c_from_m + SP_TOL or b_from_m > b_from_0 + SP_TOL:
-            holds = False
-    return holds, rows
-
-
 # -- structural identity checks ---------------------------------------------
 
 
@@ -262,7 +230,11 @@ class IdentityReport:
     kind: str
     lhs: float
     rhs: float
-    holds: bool
+    gap: float  # lhs - rhs for the movement bound, |lhs - rhs| for the identities
+    holds: bool = field(init=False)
+
+    def __post_init__(self):
+        self.holds = self.gap <= ROUND_TOL
 
 
 def check_wavg_movement(network, locations, moved, weights) -> IdentityReport:
@@ -273,7 +245,7 @@ def check_wavg_movement(network, locations, moved, weights) -> IdentityReport:
     lhs = network.distance(a, a2)
     rhs = sum(w * network.distance(y, y2)
               for w, y, y2 in zip(weights, locations, moved))
-    return IdentityReport("wavg_movement", lhs, rhs, lhs <= rhs + IDENTITY_TOL)
+    return IdentityReport("wavg_movement", lhs, rhs, lhs - rhs)
 
 
 def _branch_toward(network, p: Point, q: Point):
@@ -300,7 +272,7 @@ def check_cost_difference(network, profile, a: Point, b: Point) -> IdentityRepor
             out_tb += dxa
     lhs = social_cost(network, a, profile) - social_cost(network, b, profile)
     rhs = -n * d * d - 2.0 * d * (out_tb - in_tb)
-    return IdentityReport("cost_difference", lhs, rhs, abs(lhs - rhs) <= IDENTITY_TOL)
+    return IdentityReport("cost_difference", lhs, rhs, abs(lhs - rhs))
 
 
 def check_flattening(network, profile, a: Point, b: Point) -> IdentityReport:
@@ -323,7 +295,7 @@ def check_flattening(network, profile, a: Point, b: Point) -> IdentityReport:
     opt_pt, _ = optimal_location(network, relocated, Objective.MINISOS)
     lhs = social_cost(network, a, profile) - social_cost(network, b, profile)
     rhs = -n * d * d + 2.0 * n * d * network.distance(a, opt_pt)
-    return IdentityReport("flattening", lhs, rhs, abs(lhs - rhs) <= IDENTITY_TOL)
+    return IdentityReport("flattening", lhs, rhs, abs(lhs - rhs))
 
 
 def make_movement_instance(rng):

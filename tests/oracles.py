@@ -1,7 +1,20 @@
-"""Brute-force oracles the tests compare the package against."""
+"""Brute-force oracles the tests compare the package against, and checks
+that only the tests use."""
 
-from treefacility.network import ENDPOINT_SNAP, Point, PointInvalidError, TreeNetwork, subdivide
-from treefacility.verify import IDENTITY_TOL
+from treefacility.generators import line_with_coordinates
+from treefacility.mechanisms import Mechanism
+from treefacility.network import (
+    ENDPOINT_SNAP,
+    ROUND_TOL,
+    SP_TOL,
+    BranchId,
+    LocationProfile,
+    Point,
+    PointInvalidError,
+    TreeNetwork,
+    subdivide,
+)
+from treefacility.objectives import _check_weights, expected_agent_cost
 
 
 def grid_optimum(network: TreeNetwork, locations, weights,
@@ -75,7 +88,7 @@ def anchor_distance(network: TreeNetwork, a: Point, b: Point) -> float:
 
 
 def points_on_single_path(network: TreeNetwork, points,
-                          tol: float = IDENTITY_TOL) -> bool:
+                          tol: float = ROUND_TOL) -> bool:
     """True iff all points lie on the path between the farthest pair."""
     if len(points) <= 2:
         return True
@@ -153,3 +166,76 @@ def scan_point_at_coordinate(network: TreeNetwork, c: float) -> Point:
             off = c - coords[u] if coords[u] < coords[v] else coords[u] - c
             return network.point_on_edge(e, off)
     raise PointInvalidError(f"coordinate {c} outside the network")
+
+
+def branches_at(network: TreeNetwork, p: Point):
+    """All branches of T(G, p), in deterministic order."""
+    network.check_point(p)
+    if p.is_node:
+        return [
+            BranchId(anchor=p, toward=v, via_edge=e)
+            for v, e in sorted(network.adjacency[p.node])
+        ]
+    u, v, _ = network.edges[p.edge]
+    return [
+        BranchId(anchor=p, toward=u, via_edge=p.edge),
+        BranchId(anchor=p, toward=v, via_edge=p.edge),
+    ]
+
+
+def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
+                          weights, tol: float = ROUND_TOL):
+    """Check the per-branch optimality condition at the candidate point.
+
+    For each branch at the candidate, the weighted distance mass inside the
+    branch must not exceed the mass outside it.  Returns (holds, report)
+    where report lists (branch, inside_sum, outside_sum).
+    """
+    locations = [network.check_point(y) for y in locations]
+    _check_weights(weights, len(locations))
+    dists = network.distances_from(candidate, locations)
+    total = sum(w * d for w, d in zip(weights, dists))
+    report = []
+    holds = True
+    for branch in branches_at(network, candidate):
+        inside = 0.0
+        for i, y in enumerate(locations):
+            b = network.branch_of(candidate, y)
+            if b == branch:
+                inside += weights[i] * dists[i]
+        outside = total - inside
+        report.append((branch, inside, outside))
+        if inside > outside + tol:
+            holds = False
+    return holds, report
+
+
+class BadOrderingError(ValueError):
+    pass
+
+
+def immigrants_check(mechanism: Mechanism, a: float, b: float, c: float, n: int):
+    """SP necessary conditions over the two-block profiles with n-m agents at
+    a and m agents at c (or b).  Violations certify non-strategyproofness.
+
+    Returns (holds, rows) with one row per m: (m, lhs1, rhs1, lhs2, rhs2).
+    """
+    if not (a <= b <= c) or (a == b == c):
+        raise BadOrderingError(f"need a <= b <= c with a strict inequality, got {a}, {b}, {c}")
+    network, resolve = line_with_coordinates([a, b, c])
+    pa, pb, pc = resolve(a), resolve(b), resolve(c)
+    rows = []
+    holds = True
+    for m in range(1, n + 1):
+        x0 = LocationProfile(network, [pa] * (n - m) + [pc] * m)
+        xm = LocationProfile(network, [pa] * (n - m) + [pb] * m)
+        d0 = mechanism.run(network, x0)
+        dm = mechanism.run(network, xm)
+        c_from_0 = expected_agent_cost(network, d0, pc)
+        c_from_m = expected_agent_cost(network, dm, pc)
+        b_from_m = expected_agent_cost(network, dm, pb)
+        b_from_0 = expected_agent_cost(network, d0, pb)
+        rows.append((m, c_from_0, c_from_m, b_from_m, b_from_0))
+        if c_from_0 > c_from_m + SP_TOL or b_from_m > b_from_0 + SP_TOL:
+            holds = False
+    return holds, rows

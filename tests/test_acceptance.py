@@ -25,15 +25,14 @@ from treefacility.objectives import Objective
 from treefacility.verify import (
     approx_ratio,
     boomerang_check,
-    immigrants_check,
     lemma_identity_check,
     lower_bound_witness,
     ratio_search,
     sp_check,
 )
-from treefacility.objectives import verify_wavg_condition, weighted_average
+from treefacility.objectives import weighted_average
 
-from oracles import grid_optimum, points_on_single_path
+from oracles import grid_optimum, immigrants_check, points_on_single_path, verify_wavg_condition
 
 Q23 = Fraction(2, 3)
 

@@ -396,6 +396,23 @@ class TestReport:
         assert cli.main(["report", str(rows), "--out", str(out)]) == 0
         assert "OVER-BOUND" not in out.read_text()
 
+    def test_zero_optimum_rows_are_counted(self, tmp_path, capsys):
+        # 8 of these 20 three-node instances put every agent on one node:
+        # their optimum is 0 and their CSV row carries no ratio.
+        rows = tmp_path / "r.csv"
+        assert cli.main(["ratio", "--mech", "median", "--topology", "line",
+                         "--placement", "nodes_only", "--max-nodes", "3",
+                         "--budget", "20", "--seed", "2", "--out", str(rows)]) == 0
+        with open(rows, newline="") as fh:
+            ratios = [float(r["ratio"]) for r in csv.DictReader(fh) if r["ratio"]]
+        out = tmp_path / "report.csv"
+        assert cli.main(["report", str(rows), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["instances"], row["zero_opt"]) == ("20", "8")
+        assert float(row["max_ratio"]) == pytest.approx(max(ratios), rel=1e-8)
+        assert float(row["mean_ratio"]) == pytest.approx(sum(ratios) / len(ratios), rel=1e-8)
+
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.csv"
         bad.write_text("this,is,not\nratio,data,at all\n")

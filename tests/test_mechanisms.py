@@ -331,6 +331,17 @@ class TestEquivalences:
                 pb = PB([Dictator(i + 1) for i in range(n)], [1.0 / n] * n)
                 assert HalfAvgHalfRD().run(net, prof) == pb.run(net, prof)
 
+    @pytest.mark.parametrize("q", [Fraction(3, 5), Fraction(2, 3)])
+    def test_rdgm_is_pb_of_dgms(self, q):
+        for topology in ("line", "random_tree"):
+            for placement in ("anywhere", "nodes_only"):
+                cfg = GeneratorConfig(topology=topology, placement=placement, min_nodes=1,
+                                      max_nodes=10, min_agents=1, max_agents=8, seed=79)
+                for net, prof in generate(cfg, 40):
+                    n = len(prof)
+                    pb = PB([DGM(i + 1, q) for i in range(n)], [1.0 / n] * n)
+                    assert RandomizedDGM(q).run(net, prof) == pb.run(net, prof)
+
 
 class TestDistributionInvariants:
     def test_valid_and_deterministic(self, rng):

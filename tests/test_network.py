@@ -1,8 +1,12 @@
 import math
 import random
+import re
+import tokenize
+from pathlib import Path
 
 import pytest
 
+from treefacility import network as network_module
 from treefacility.generators import GeneratorConfig, generate, random_point
 from treefacility.network import (
     CyclicError,
@@ -20,7 +24,7 @@ from treefacility.network import (
 from treefacility.objectives import social_cost
 
 from conftest import line_net, profile, run_capped, star_net
-from oracles import scan_point_at_coordinate
+from oracles import branches_at, scan_point_at_coordinate
 
 
 class TestValidate:
@@ -210,7 +214,7 @@ class TestPath:
 def subtrees_at(net, p, prof):
     """Partition the profile's agents into the branches at p, as a list of
     (BranchId, agent indices); agents located exactly at p are in none."""
-    buckets = {b: [] for b in net.branches_at(p)}
+    buckets = {b: [] for b in branches_at(net, p)}
     for i, x in enumerate(prof):
         b = net.branch_of(p, x)
         if b is not None:
@@ -357,3 +361,24 @@ class TestFileFormats:
         assert "locations[3]" in str(err.value)
         with pytest.raises(PointInvalidError):
             point_from_json(net, {"edge": 0, "offset": 0.0}, where="locations[0]")
+
+
+class TestTolerances:
+    NAMES = ("ENDPOINT_SNAP", "ROUND_TOL", "SP_TOL", "BOUND_TOL")
+
+    def test_exponent_literals_only_in_the_tolerance_block(self):
+        """Every literal such as 1e-9 in the package is one of the four
+        assignments in network.py's tolerance block; any other comparison
+        reads one of those names."""
+        sites = []
+        for path in sorted(Path(network_module.__file__).parent.glob("*.py")):
+            with open(path, "rb") as fh:
+                for tok in tokenize.tokenize(fh.readline):
+                    if tok.type == tokenize.NUMBER and re.fullmatch(
+                            r"[0-9_.]+[eE][-+]?[0-9_]+", tok.string):
+                        sites.append((path.name, tok.line.strip()))
+        block = [(f, line) for f, line in sites
+                 if f == "network.py" and re.fullmatch(r"(\w+) = [0-9.e-]+", line)
+                 and line.split(" = ")[0] in self.NAMES]
+        assert [s for s in sites if s not in block] == []
+        assert [line.split(" = ")[0] for _, line in block] == list(self.NAMES)

@@ -14,13 +14,12 @@ from treefacility.objectives import (
     optimal_location,
     point_mass,
     social_cost,
-    verify_wavg_condition,
     weighted_average,
 )
 from treefacility.verify import check_wavg_movement
 
 from conftest import line_net, profile, star_net
-from oracles import grid_optimum, sweep_minisos_point
+from oracles import grid_optimum, sweep_minisos_point, verify_wavg_condition
 
 
 def uniform(m):

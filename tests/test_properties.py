@@ -13,7 +13,7 @@ from treefacility.mechanisms import DGM, RandomizedDGM, TreeMedian  # noqa: E402
 from treefacility.network import ENDPOINT_SNAP, LocationProfile, Point, subdivide  # noqa: E402
 from treefacility.objectives import weighted_average  # noqa: E402
 
-from oracles import anchor_distance, reference_walk, sweep_minisos_point  # noqa: E402
+from oracles import anchor_distance, branches_at, reference_walk, sweep_minisos_point  # noqa: E402
 
 TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
 GRID = 16  # points sit on a grid of edge sixteenths, so distinct points are far apart
@@ -95,7 +95,7 @@ def test_branch_of_is_a_branch_at_p(data):
     if x == p:
         assert b is None
     else:
-        assert b in net.branches_at(p)
+        assert b in branches_at(net, p)
 
 
 @SETTINGS

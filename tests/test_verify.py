@@ -18,7 +18,6 @@ from treefacility.mechanisms import (
 from treefacility.network import LocationProfile, Point, TreeNetwork, instance_digest
 from treefacility.objectives import Objective, optimal_location
 from treefacility.verify import (
-    BadOrderingError,
     BadParamsError,
     CSV_HEADER,
     NotDeterministicError,
@@ -26,7 +25,6 @@ from treefacility.verify import (
     boomerang_check,
     csv_row,
     deviation_points,
-    immigrants_check,
     lemma_identity_check,
     lower_bound_witness,
     ratio_search,
@@ -34,7 +32,7 @@ from treefacility.verify import (
 )
 
 from conftest import line_net, profile, star_net
-from oracles import grid_optimum, points_on_single_path
+from oracles import BadOrderingError, grid_optimum, immigrants_check, points_on_single_path
 
 Q23 = Fraction(2, 3)
 
