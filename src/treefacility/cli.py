@@ -11,13 +11,13 @@ import csv
 import json
 import random
 import sys
-from operator import attrgetter
 
 from .generators import BadConfigError, GeneratorConfig, generate
 from .mechanisms import MechanismError, parse_mechanism
 from .network import (
     BOUND_TOL,
     NetworkError,
+    Point,
     PointInvalidError,
     instance_digest,
     instance_to_json,
@@ -50,10 +50,12 @@ USAGE_ERRORS = (
     V.NotDeterministicError, json.JSONDecodeError, OSError,
 )
 
-# Misreport checks: command -> (check, what its report maximizes, help).
+# Misreport checks: command -> (check, what its report maximizes, help, the
+# names of the last two entries of its worst case).
 MISREPORT_CHECKS = {
-    "sp-check": (V.sp_check, "regret", "strategyproofness check"),
-    "boomerang-check": (V.boomerang_check, "violation", "boomerang identity check"),
+    "sp-check": (V.sp_check, "regret", "strategyproofness check", ("true_cost", "deviated_cost")),
+    "boomerang-check": (V.boomerang_check, "violation", "boomerang identity check",
+                        ("output", "deviated_output")),
 }
 
 
@@ -125,13 +127,14 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--objective", default="minisos")
 
-    for command, (_, _, help_text) in MISREPORT_CHECKS.items():
+    for command, (_, _, help_text, _) in MISREPORT_CHECKS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--mech", required=True)
         p.add_argument("--instance")
         p.add_argument("--budget", type=int, default=50)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tolerance", type=float, default=V.SP_TOL)
+        p.add_argument("--out")
         _add_generator_args(p)
 
     p = sub.add_parser("ratio", help="approximation ratios over instances")
@@ -199,6 +202,12 @@ def cmd_opt(args):
     return 0
 
 
+def _write_instance(path, network, profile):
+    with open(path, "w") as fh:
+        json.dump(instance_to_json(network, profile), fh, indent=2)
+    print(f"instance written to {path}")
+
+
 def _instances(args):
     if args.instance:
         yield _load_instance(args.instance)
@@ -211,12 +220,21 @@ def cmd_misreport_check(args):
     # A NaN tolerance would fail every check and an infinite one pass it.
     if not 0.0 <= args.tolerance < float("inf"):
         raise V.BadParamsError(f"tolerance must be finite and >= 0, got {args.tolerance}")
-    check, label, _ = MISREPORT_CHECKS[args.command]
+    check, label, _, names = MISREPORT_CHECKS[args.command]
     field = f"max_{label}"
     mech = parse_mechanism(args.mech)
-    worst = max((check(mech, network, profile, args.tolerance)
-                 for network, profile in _instances(args)), key=attrgetter(field))
+    worst, network, profile = max(
+        ((check(mech, network, profile, args.tolerance), network, profile)
+         for network, profile in _instances(args)), key=lambda r: getattr(r[0], field))
     print(f"{field}: {getattr(worst, field):.3e} (tested {worst.tested_count} deviations)")
+    if worst.worst_case is not None:
+        agent, misreport, *pair = worst.worst_case
+        witness = {"instance": instance_digest(network, profile), "agent": agent + 1,
+                   "misreport": misreport.to_json()}
+        witness.update((k, v.to_json() if isinstance(v, Point) else v) for k, v in zip(names, pair))
+        print("worst:", json.dumps(witness))
+    if args.out:
+        _write_instance(args.out, network, profile)
     if not worst.holds:
         print(f"FAIL: {label} above tolerance {args.tolerance}")
         return 1
@@ -248,9 +266,7 @@ def cmd_search(args):
     rep, network, profile = result
     print(f"worst ratio: {rep.ratio:.9f} (instance {instance_digest(network, profile)})")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(instance_to_json(network, profile), fh, indent=2)
-        print(f"instance written to {args.out}")
+        _write_instance(args.out, network, profile)
     bound = _bound_for(mech.name, objective.value, args.topology)
     if bound is not None and rep.ratio > bound + BOUND_TOL:
         print(f"FAIL: ratio exceeds bound {bound}")

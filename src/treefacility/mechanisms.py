@@ -21,6 +21,7 @@ from .objectives import (
     LocationDistribution,
     Objective,
     WeightInvalidError,
+    deviated_medians,
     generalized_medians,
     make_distribution,
     median_point,
@@ -64,13 +65,17 @@ def _midpoint(network, a, b):
 
 
 class Mechanism:
-    """Base class; subclasses implement run()."""
+    """Base class; subclasses implement run() and may override deviations()."""
 
     name = "mechanism"
     boomerang = False  # known member of the deterministic boomerang family
 
     def run(self, network: TreeNetwork, profile: LocationProfile) -> LocationDistribution:
         raise NotImplementedError
+
+    def deviations(self, network, profile, i, points):
+        """The outputs with agent i at each of ``points``, one run per point."""
+        return [self.run(network, profile.replace(network, i, p)) for p in points]
 
     def point(self, network, profile) -> Point:
         """Output location of a deterministic mechanism."""
@@ -95,6 +100,11 @@ class Dictator(Mechanism):
                 f"agent index {self.i} exceeds profile size {len(profile)}"
             )
         return point_mass(profile[self.i - 1])
+
+    def deviations(self, network, profile, i, points):
+        if i == self.i - 1:
+            return [point_mass(p) for p in points]
+        return [self.run(network, profile)] * len(points) if points else []
 
 
 class KthLocation(Mechanism):
@@ -128,6 +138,10 @@ class TreeMedian(Mechanism):
     def run(self, network, profile):
         return point_mass(median_point(network, profile))
 
+    def deviations(self, network, profile, i, points):
+        need = len(profile) // 2 + 1
+        return [point_mass(y) for y, in deviated_medians(network, profile, i, points, need, [None])]
+
 
 class DGM(Mechanism):
     """Dictatorial generalized median: walk from agent i's report into any
@@ -154,6 +168,13 @@ class DGM(Mechanism):
         need = math.ceil(self.q * len(profile))
         return point_mass(generalized_medians(network, profile, need, [self.i - 1])[0])
 
+    def deviations(self, network, profile, i, points):
+        if self.i > len(profile):  # every run raises IndexOutOfRangeError
+            return super().deviations(network, profile, i, points)
+        need = math.ceil(self.q * len(profile))
+        return [point_mass(y) for y, in deviated_medians(network, profile, i, points, need,
+                                                          [self.i - 1])]
+
 
 def _compose(network, ys, weights):
     """The paper's composition: each y_i with probability w_i / 2, and the
@@ -161,6 +182,17 @@ def _compose(network, ys, weights):
     pairs = [(y, 0.5 * w) for y, w in zip(ys, weights)]
     pairs.append((weighted_average(network, ys, weights), 0.5))
     return make_distribution(pairs)
+
+
+def _compose_each(network, yss, weights):
+    """_compose of each member tuple in yss, each distinct tuple once."""
+    memo = {}
+    out = []
+    for ys in map(tuple, yss):
+        if ys not in memo:
+            memo[ys] = _compose(network, ys, weights)
+        out.append(memo[ys])
+    return out
 
 
 class PB(Mechanism):
@@ -184,6 +216,10 @@ class PB(Mechanism):
     def run(self, network, profile):
         ys = [m.point(network, profile) for m in self.members]
         return _compose(network, ys, self.weights)
+
+    def deviations(self, network, profile, i, points):
+        sweeps = zip(*[m.deviations(network, profile, i, points) for m in self.members])
+        return _compose_each(network, ([d.the_point() for d in ds] for ds in sweeps), self.weights)
 
 
 class LRM(Mechanism):
@@ -239,6 +275,11 @@ class RandomizedDGM(Mechanism):
         n = len(profile)
         return _compose(network, self.member_points(network, profile), [1.0 / n] * n)
 
+    def deviations(self, network, profile, i, points):
+        n = len(profile)
+        yss = deviated_medians(network, profile, i, points, math.ceil(self.q * n), range(n))
+        return _compose_each(network, yss, [1.0 / n] * n)
+
 
 class ConsecutiveMidpoints(Mechanism):
     """Extreme agents with probability 1/(2n) each; the midpoint of every
@@ -271,12 +312,16 @@ class Mixture(Mechanism):
             ",".join(f"({m.name},{p})" for m, p in components)
         )
 
+    def _mix(self, outputs):
+        return make_distribution([(y, p * q) for (_, p), dist in zip(self.components, outputs)
+                                  for y, q in dist])
+
     def run(self, network, profile):
-        pairs = []
-        for m, p in self.components:
-            for y, q in m.run(network, profile):
-                pairs.append((y, p * q))
-        return make_distribution(pairs)
+        return self._mix([m.run(network, profile) for m, _ in self.components])
+
+    def deviations(self, network, profile, i, points):
+        sweeps = zip(*[m.deviations(network, profile, i, points) for m, _ in self.components])
+        return [self._mix(outputs) for outputs in sweeps]
 
 
 class AverageOnly(Mechanism):

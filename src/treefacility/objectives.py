@@ -14,6 +14,7 @@ Every optimal cost is the social cost evaluated at the optimal point.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -229,6 +230,57 @@ def weighted_average(network: TreeNetwork, locations, weights) -> Point:
 # -- optimal locations per objective ---------------------------------------
 
 
+def _positions(network: TreeNetwork, locations):
+    """(place, at, chains, up, sub) of the agents at ``locations``."""
+    N = network.node_count
+    edges, parent, parent_edge = network.edges, network.parent, network.parent_edge
+    place = [p.node for p in locations]  # each agent's position
+    at = []  # (edge, first offset) of cluster position N + j
+    chains = {}  # edge -> its cluster positions in offset order
+    for e, off, k in sorted([(p.edge, p.offset, k) for k, p in enumerate(locations)
+                             if p.node is None]):
+        if not at or at[-1][0] != e or off - at[-1][1] > ENDPOINT_SNAP:
+            chains.setdefault(e, []).append(N + len(at))
+            at.append((e, off))
+        place[k] = N + len(at) - 1
+    up = [None] * (N + len(at))  # the position above each position
+    sub = [0] * (N + len(at))  # the agents at or below each position
+    for p in place:
+        sub[p] += 1
+    # Bottom up, hang each node below the clusters of its parent edge,
+    # nearest first, and add each position's count to the one above it.
+    for c in reversed(network.order[1:]):
+        e, p = parent_edge[c], c
+        cl = chains.get(e, ())
+        for b in (cl if edges[e][0] == c else cl[::-1]):
+            up[p] = b
+            sub[b] += sub[p]
+            p = b
+        up[p] = parent[c]
+        sub[parent[c]] += sub[p]
+    return place, at, chains, up, sub
+
+
+def _lowest(up, sub, need):
+    """The chain's lowest position, or None when no position has need agents."""
+    chain = [p for p, s in enumerate(sub) if s >= need]
+    has_child = {up[p] for p in chain}
+    return next((p for p in chain if p not in has_child), None)
+
+
+def _walks(N, at, up, sub, need, low, starts):
+    """Each start's stop: climb while the branch above qualifies, then
+    descend to the chain's lowest position if a child does."""
+    stops = []
+    for p in starts:
+        while sub[0] - sub[p] >= need:
+            p = up[p]
+        if sub[p] >= need:
+            p = low
+        stops.append(Point(node=p) if p < N else Point(edge=at[p - N][0], offset=at[p - N][1]))
+    return stops
+
+
 def generalized_medians(network: TreeNetwork, locations, need: int, roots):
     """The generalized-median walk from each root (an agent index, or None
     for node 0) into any branch holding at least ``need`` > n/2 agents.
@@ -244,44 +296,58 @@ def generalized_medians(network: TreeNetwork, locations, need: int, roots):
     one chain down from node 0, as two disjoint branches cannot both hold
     more than half the agents, so every descent ends at its lowest position.
     """
-    n, N = len(locations), network.node_count
-    edges, parent, parent_edge = network.edges, network.parent, network.parent_edge
-    place = [p.node for p in locations]  # each agent's position
-    at = []  # (edge, first offset) of cluster position N + j
-    chains = {}  # edge -> its cluster positions in offset order
-    for e, off, k in sorted([(p.edge, p.offset, k) for k, p in enumerate(locations)
-                             if p.node is None]):
-        if not at or at[-1][0] != e or off - at[-1][1] > ENDPOINT_SNAP:
-            chains.setdefault(e, []).append(N + len(at))
-            at.append((e, off))
-        place[k] = N + len(at) - 1
-    up = [None] * (N + len(at))  # the position above each position
-    sub = [0] * (N + len(at))
-    for p in place:
-        sub[p] += 1
-    # Bottom up, hang each node below the clusters of its parent edge,
-    # nearest first, and add each position's count to the one above it.
-    for c in reversed(network.order[1:]):
-        e, p = parent_edge[c], c
-        cl = chains.get(e, ())
-        for b in (cl if edges[e][0] == c else cl[::-1]):
-            up[p] = b
-            sub[b] += sub[p]
-            p = b
-        up[p] = parent[c]
-        sub[parent[c]] += sub[p]
-    chain = [p for p, s in enumerate(sub) if s >= need]
-    has_child = {up[p] for p in chain}
-    low = next(p for p in chain if p not in has_child)
-    stops = []
-    for r in roots:
-        p = 0 if r is None else place[r]
-        while n - sub[p] >= need:
-            p = up[p]
-        if sub[p] >= need:
-            p = low
-        stops.append(Point(node=p) if p < N else Point(edge=at[p - N][0], offset=at[p - N][1]))
-    return stops
+    place, at, _, up, sub = _positions(network, locations)
+    return _walks(network.node_count, at, up, sub, need, _lowest(up, sub, need),
+                  [0 if r is None else place[r] for r in roots])
+
+
+def deviated_medians(network: TreeNetwork, locations, i: int, points, need: int, roots):
+    """generalized_medians with agent i at each of ``points``, from one
+    build of the other agents' positions.  A misreport p is a node, joins
+    the cluster whose first offset it is at most ENDPOINT_SNAP past, or is
+    a new position P above the one just below it; it adds 1 to sub on P's
+    root path only.  The first position there with sub >= need is the new
+    lowest if p brought it into the chain; else the others' lowest stands.
+    When a cluster starts in (p, p + ENDPOINT_SNAP], p would absorb it, so
+    the full walk runs."""
+    N, parent = network.node_count, network.parent
+    place, at, chains, up, sub = _positions(network, locations[:i] + locations[i + 1:])
+    low = _lowest(up, sub, need)
+    starts = [0 if r is None else -1 if r == i else place[r - (r > i)] for r in roots]
+    out = []
+    for p in points:
+        P, below = p.node, None  # below: the position just below a new P
+        if P is None:
+            (u, v, _), t, cl = network.edges[p.edge], p.offset, chains.get(p.edge, [])
+            k = bisect.bisect_right(cl, t, key=lambda c: at[c - N][1])
+            if k and t - at[cl[k - 1] - N][1] <= ENDPOINT_SNAP:
+                P = cl[k - 1]
+            elif k < len(cl) and at[cl[k] - N][1] - t <= ENDPOINT_SNAP:
+                locs = [p if j == i else x for j, x in enumerate(locations)]
+                out.append(generalized_medians(network, locs, need, roots))
+                continue
+            else:  # offsets grow toward node 0 when u is the child end
+                below = (cl[k - 1] if k else u) if parent[u] == v else (cl[k] if k < len(cl) else v)
+                P = len(up)
+                at.append((p.edge, t))
+                up.append(up[below])
+                sub.append(sub[below])
+                up[below] = P
+        path, x = [], P
+        while x is not None:
+            path.append(x)
+            x = up[x]
+        for x in path:
+            sub[x] += 1
+        q = next(x for x in path if sub[x] >= need)
+        out.append(_walks(N, at, up, sub, need, q if sub[q] == need else low,
+                          [P if s < 0 else s for s in starts]))
+        for x in path:
+            sub[x] -= 1
+        if below is not None:
+            up[below] = up.pop()
+            del sub[-1], at[-1]
+    return out
 
 
 def median_point(network: TreeNetwork, profile) -> Point:

@@ -68,12 +68,13 @@ def deviation_points(network: TreeNetwork, profile: LocationProfile):
 
 def _misreports(mechanism: Mechanism, network: TreeNetwork, profile: LocationProfile):
     """(agent, true location, misreport, output) for every agent and every
-    deviation point other than the agent's own location."""
+    deviation point other than the agent's own location, from one sweep of
+    ``mechanism.deviations`` per agent."""
     deviations = deviation_points(network, profile)
     for i, x in enumerate(profile):
-        for p in deviations:
-            if p != x:
-                yield i, x, p, mechanism.run(network, profile.replace(network, i, p))
+        points = [p for p in deviations if p != x]
+        for p, out in zip(points, mechanism.deviations(network, profile, i, points)):
+            yield i, x, p, out
 
 
 @dataclass
@@ -133,7 +134,7 @@ def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
     """Check that a deviator's cost increase equals the facility movement."""
     y = _the_point(mechanism, mechanism.run(network, profile))
     true_costs = network.distances_from(y, profile)
-    max_violation = 0.0
+    max_violation = float("-inf")
     worst = None
     tested = 0
     for i, x, p, out in _misreports(mechanism, network, profile):
@@ -144,7 +145,7 @@ def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
         if violation > max_violation:
             max_violation = violation
             worst = (i, p, y, y2)
-    return BoomerangReport(max_violation=max_violation, worst_case=worst,
+    return BoomerangReport(max_violation=max(max_violation, 0.0), worst_case=worst,
                            tested_count=tested, tolerance=tolerance)
 
 

@@ -17,6 +17,18 @@ from treefacility.network import (
 from treefacility.objectives import _check_weights, expected_agent_cost
 
 
+class GenericSweep(Mechanism):
+    """The wrapped mechanism with the base class's misreport sweep: every
+    deviated profile is run from scratch."""
+
+    def __init__(self, mechanism: Mechanism):
+        self.mechanism = mechanism
+        self.name = mechanism.name
+
+    def run(self, network, profile):
+        return self.mechanism.run(network, profile)
+
+
 def grid_optimum(network: TreeNetwork, locations, weights,
                  resolution: float = 1e-3, refine_rounds: int = 3,
                  squared: bool = True):

@@ -18,8 +18,9 @@ from treefacility.network import (
     network_from_json,
     profile_from_json,
 )
-from treefacility.mechanisms import RandomDictator
+from treefacility.mechanisms import AverageOnly, RandomDictator
 from treefacility.objectives import CostOverflowError, expected_social_cost, social_cost
+from treefacility.verify import boomerang_check, sp_check
 
 from conftest import line_net, run_capped
 
@@ -196,6 +197,43 @@ class TestCLI:
         code = cli.main(["sp-check", "--mech", "avg-only", "--instance", path])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @staticmethod
+    def printed_witness(out):
+        return json.loads(next(line for line in out.splitlines()
+                               if line.startswith("worst: "))[len("worst: "):])
+
+    def test_sp_check_names_and_writes_its_worst_witness(self, tmp_path, capsys):
+        net, resolve = line_with_coordinates([-2.0, 2.0], extra_nodes=[0.0])
+        prof = LocationProfile(net, [resolve(0.0), resolve(2.0)])
+        path = write_instance(tmp_path / "inst.json", net, prof)
+        out_path = tmp_path / "worst.json"
+        assert cli.main(["sp-check", "--mech", "avg-only", "--instance", path,
+                         "--out", str(out_path)]) == 1
+        witness = self.printed_witness(capsys.readouterr().out)
+        rep = sp_check(AverageOnly(), net, prof)
+        agent, misreport, true_cost, dev_cost = rep.worst_case
+        assert witness == {"instance": instance_digest(net, prof), "agent": agent + 1,
+                           "misreport": misreport.to_json(), "true_cost": true_cost,
+                           "deviated_cost": dev_cost}
+        assert witness["true_cost"] - witness["deviated_cost"] == rep.max_regret > 0.0
+        # eval replays the written instance.
+        assert profile_from_json(json.loads(out_path.read_text())) == (net, prof)
+        assert cli.main(["eval", "--mech", "avg-only", "--instance", str(out_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert json.loads(printed[len("distribution: "):]) == AverageOnly().run(net, prof).to_json()
+
+    def test_boomerang_check_names_both_outputs_of_the_worst_instance(self, tmp_path, capsys):
+        out_path = tmp_path / "worst.json"
+        code = cli.main(["boomerang-check", "--mech", "avg-only", "--budget", "5", "--seed", "3",
+                         "--max-nodes", "6", "--max-agents", "4", "--out", str(out_path)])
+        assert code == 1
+        witness = self.printed_witness(capsys.readouterr().out)
+        net, prof = profile_from_json(json.loads(out_path.read_text()))
+        agent, misreport, y, y2 = boomerang_check(AverageOnly(), net, prof).worst_case
+        assert witness == {"instance": instance_digest(net, prof), "agent": agent + 1,
+                           "misreport": misreport.to_json(), "output": y.to_json(),
+                           "deviated_output": y2.to_json()}
 
     @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
     def test_grid_option_is_gone(self, command, capsys):

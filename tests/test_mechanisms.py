@@ -13,6 +13,7 @@ from treefacility.mechanisms import (
     HalfAvgHalfRD,
     IndexOutOfRangeError,
     KthLocation,
+    Mechanism,
     MechanismError,
     Mixture,
     NeedTwoAgentsError,
@@ -25,7 +26,7 @@ from treefacility.mechanisms import (
     parse_mechanism,
 )
 from treefacility.network import LocationProfile, Point, TreeNetwork
-from treefacility.objectives import Objective, expected_social_cost, optimal_location
+from treefacility.objectives import Objective, expected_social_cost, optimal_location, point_mass
 
 from conftest import assert_dist_close, line_net, profile, star_net
 from oracles import reference_walk
@@ -173,6 +174,35 @@ class TestGeneralizedMedianWalk:
             parse_mechanism(spec).run(net, prof)
         optimal_location(net, prof, Objective.MINISUM)
         assert built == []
+
+
+class TestDeviations:
+    """One misreport per rule of the deviation walk: the sweep equals the
+    base class's loop and the stop worked out by hand."""
+
+    @pytest.mark.parametrize("spec, agents, i, p, stop", [
+        # A misreport exactly ENDPOINT_SNAP past a cluster's first offset joins it.
+        ("median", [Point(edge=0, offset=1e-12), 1, 1], 1, Point(edge=0, offset=2e-12),
+         Point(edge=0, offset=1e-12)),
+        # Within ENDPOINT_SNAP before a cluster, the misreport takes it over.
+        ("median", [Point(edge=0, offset=0.5), 1, 1], 1, Point(edge=0, offset=0.5 - 1e-12),
+         Point(edge=0, offset=0.5 - 1e-12)),
+        # A new position sits between the dictator's node and node 0: its walk
+        # climbs into it and stops there (4 agents, need 3).
+        ("dgm:1:2/3", [1, 0, 0, 0], 3, Point(edge=0, offset=0.5), Point(edge=0, offset=0.5)),
+        # Node 0 qualified without the misreport, so the others' lowest stands.
+        ("median", [2, 2, 1], 2, 0, 2),
+        # The others alone hold fewer than need = n agents anywhere.
+        ("dgm:1:1", [1, 1, 0], 2, 1, 1),
+    ])
+    def test_each_rule(self, spec, agents, i, p, stop):
+        net = line_net(1.0, 1.0)
+        at = lambda x: x if isinstance(x, Point) else Point.at_node(x)  # noqa: E731
+        prof = LocationProfile(net, [at(x) for x in agents])
+        mech = parse_mechanism(spec)
+        expected = Mechanism.deviations(mech, net, prof, i, [at(p)])
+        assert expected == [point_mass(at(stop))]
+        assert mech.deviations(net, prof, i, [at(p)]) == expected
 
 
 class TestPB:

@@ -1,19 +1,45 @@
-"""Property tests of distances, path steps, branches, subdivision and the
-walks of the medians and of the miniSOS optimum on random trees."""
+"""Property tests of distances, path steps, branches, subdivision, the
+walks of the medians and of the miniSOS optimum, the misreport sweeps and
+instance files on random trees."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, reject, settings, strategies as st  # noqa: E402
 
 from treefacility.generators import GeneratorConfig, generate  # noqa: E402
-from treefacility.mechanisms import DGM, RandomizedDGM, TreeMedian  # noqa: E402
-from treefacility.network import ENDPOINT_SNAP, LocationProfile, Point, subdivide  # noqa: E402
+from treefacility.mechanisms import (  # noqa: E402
+    DGM,
+    Mechanism,
+    MechanismError,
+    RandomizedDGM,
+    TreeMedian,
+    parse_mechanism,
+)
+from treefacility.network import (  # noqa: E402
+    ENDPOINT_SNAP,
+    ROUND_TOL,
+    LocationProfile,
+    Point,
+    instance_digest,
+    instance_to_json,
+    profile_from_json,
+    subdivide,
+)
 from treefacility.objectives import weighted_average  # noqa: E402
+from treefacility.verify import boomerang_check, sp_check  # noqa: E402
 
-from oracles import anchor_distance, branches_at, reference_walk, sweep_minisos_point  # noqa: E402
+from oracles import (  # noqa: E402
+    GenericSweep,
+    anchor_distance,
+    branches_at,
+    reference_walk,
+    sweep_minisos_point,
+)
 
 TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
 GRID = 16  # points sit on a grid of edge sixteenths, so distinct points are far apart
@@ -201,3 +227,111 @@ def test_minisos_descent_is_the_edge_sweep_bit_for_bit(data):
         got = weighted_average(net, points, ws)
         if len(points) > 1:
             assert as_hex(got) == as_hex(sweep_minisos_point(net, points, ws))
+
+
+@SETTINGS
+@given(st.data())
+def test_distance_is_a_metric(data):
+    net = data.draw(trees())
+    points = data.draw(mixed_points(net))
+    for a in points:
+        for b in points:
+            d = net.distance(a, b)
+            assert (d == 0.0) == (a == b)
+            # Symmetric up to rounding: the two directions read the rows of
+            # different nodes, which sum the path's lengths in other orders.
+            assert abs(net.distance(b, a) - d) <= ROUND_TOL * (1 + d)
+            for c in points:
+                assert d <= net.distance(a, c) + net.distance(c, b) + ROUND_TOL * (1 + d)
+
+
+@SETTINGS
+@given(st.data())
+def test_instances_round_trip_through_json(data):
+    net = data.draw(trees())
+    prof = LocationProfile(net, data.draw(mixed_points(net)))
+    net2, prof2 = profile_from_json(json.loads(json.dumps(instance_to_json(net, prof))))
+    assert (net2.node_count, net2.edges, prof2.locations) == (net.node_count, net.edges,
+                                                              prof.locations)
+    assert instance_digest(net2, prof2) == instance_digest(net, prof)
+
+
+# Families that override Mechanism.deviations: dictators and DGMs at agents
+# 1 to 3 and at 40, beyond any profile drawn here, and DGMs with q = 1, where
+# the other agents alone never hold need = n.
+SWEEP_FAMILIES = [
+    "median", "dictator:1", "dictator:3", "dgm:1:2/3", "dgm:2:3/5", "dgm:2:1", "dgm:40:2/3",
+    "rdgm:3/5", "rdgm:2/3", "pb:[median,dgm:2:2/3]:[1/2,1/2]",
+    "pb:[dictator:2,dgm:1:3/5,median]:[1/4,1/4,1/2]",
+    "mix:[(median,1/2),(rd,1/2)]", "mix:[(rdgm:2/3,1/3),(dgm:1:1,2/3)]",
+]
+DETERMINISTIC = {"median", "dictator:1", "dictator:3", "dgm:1:2/3", "dgm:2:3/5", "dgm:2:1"}
+
+
+@st.composite
+def profiles(draw, net):
+    """Agents on nodes only, or clustered points anywhere."""
+    if draw(st.booleans()):
+        nodes = draw(st.lists(st.integers(0, net.node_count - 1), min_size=1, max_size=7))
+        return LocationProfile(net, [Point.at_node(v) for v in nodes])
+    return LocationProfile(net, draw(clustered_points(net))[:7])
+
+
+def near_misreports(net, prof):
+    """Every agent's point, every node, points ±3e-13, ±1e-12 and ±2e-12
+    from each interior agent, and points within 2e-12 of each end of the
+    agents' edges."""
+    out = list(dict.fromkeys(prof))
+    out += [Point.at_node(v) for v in range(net.node_count)]
+    for e in dict.fromkeys(x.edge for x in prof if not x.is_node):
+        w = net.edges[e][2]
+        for x in prof:
+            if x.edge == e:
+                out += [Point(edge=e, offset=x.offset + d) for d in (3e-13, 1e-12, 2e-12)
+                        for d in (d, -d) if 0.0 < x.offset + d < w]
+        out += [Point(edge=e, offset=t) for d in (1e-13, ENDPOINT_SNAP, 2e-12)
+                for t in (d, w - d)]
+    return out
+
+
+def dump(outputs):
+    return [[(as_hex(p), float.hex(q)) for p, q in dist] for dist in outputs]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.data())
+def test_deviation_sweeps_are_the_generic_loop_bit_for_bit(data):
+    net = data.draw(trees())
+    prof = data.draw(profiles(net))
+    points = near_misreports(net, prof)
+    for spec in SWEEP_FAMILIES:
+        mech = parse_mechanism(spec)
+        for i in range(len(prof)):
+            try:
+                expected = Mechanism.deviations(mech, net, prof, i, points)
+            except MechanismError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    mech.deviations(net, prof, i, points)
+                continue
+            got = mech.deviations(net, prof, i, points)
+            assert got == expected
+            assert dump(got) == dump(expected)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(st.data())
+def test_misreport_checks_report_what_the_generic_sweep_reports(data):
+    net = data.draw(trees())
+    prof = data.draw(profiles(net))
+    mech = parse_mechanism(data.draw(st.sampled_from(SWEEP_FAMILIES)))
+    try:
+        mech.run(net, prof)
+    except MechanismError:
+        reject()  # an index beyond the profile
+    checks = [(sp_check, "max_regret")]
+    if mech.name in DETERMINISTIC:
+        checks.append((boomerang_check, "max_violation"))
+    for check, field in checks:
+        got, expected = check(mech, net, prof), check(GenericSweep(mech), net, prof)
+        assert (float.hex(getattr(got, field)), got.worst_case, got.tested_count) == (
+            float.hex(getattr(expected, field)), expected.worst_case, expected.tested_count)

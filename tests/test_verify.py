@@ -99,6 +99,14 @@ class TestBoomerangCheck:
         assert not rep.holds
         assert rep.max_violation >= 0.1
 
+    def test_exact_zero_violations_still_name_a_witness(self, unit_line3):
+        # A dictator moves the output exactly as far as it moves itself.
+        prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
+        rep = boomerang_check(Dictator(1), unit_line3, prof)
+        assert rep.max_violation == 0.0 and rep.tested_count > 0
+        first = next(p for p in deviation_points(unit_line3, prof) if p != prof[0])
+        assert rep.worst_case == (0, first, prof[0], first)
+
     def test_rejects_randomized(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
         with pytest.raises(NotDeterministicError):
