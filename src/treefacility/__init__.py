@@ -5,12 +5,7 @@ approximation ratios are computed as exact sums, so the worst-case bounds can
 be certified numerically at desk scale.
 """
 
-from .network import (
-    BranchId,
-    LocationProfile,
-    Point,
-    TreeNetwork,
-)
+from .network import LocationProfile, Point, TreeNetwork
 from .objectives import (
     LocationDistribution,
     Objective,

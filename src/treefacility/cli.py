@@ -47,7 +47,7 @@ LINE_BOUNDS = {
 USAGE_ERRORS = (
     NetworkError, PointInvalidError, MechanismError, BadConfigError,
     WeightInvalidError, DistributionInvalidError, V.BadParamsError,
-    V.NotDeterministicError, json.JSONDecodeError, OSError,
+    V.NotDeterministicError, json.JSONDecodeError, UnicodeDecodeError, OSError,
 )
 
 # Misreport checks: command -> (check, what its report maximizes, help, the
@@ -73,11 +73,6 @@ def _bound_for(mechanism_name, objective, topology):
     mechanism's family, the spec up to its first colon."""
     bounds = {**KNOWN_BOUNDS, **LINE_BOUNDS} if topology == "line" else KNOWN_BOUNDS
     return bounds.get((mechanism_name.split(":")[0], objective))
-
-
-def _check_budget(args):
-    if args.budget < 1:
-        raise V.BadParamsError("budget must be >= 1")
 
 
 def _generator_config(args):
@@ -216,7 +211,6 @@ def _instances(args):
 
 
 def cmd_misreport_check(args):
-    _check_budget(args)
     # A NaN tolerance would fail every check and an infinite one pass it.
     if not 0.0 <= args.tolerance < float("inf"):
         raise V.BadParamsError(f"tolerance must be finite and >= 0, got {args.tolerance}")
@@ -243,7 +237,6 @@ def cmd_misreport_check(args):
 
 
 def cmd_ratio(args):
-    _check_budget(args)
     mech = parse_mechanism(args.mech)
     objective = Objective.parse(args.objective)
     rows = []
@@ -275,7 +268,6 @@ def cmd_search(args):
 
 
 def cmd_lemma_check(args):
-    _check_budget(args)
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.budget):
@@ -289,11 +281,8 @@ def cmd_lemma_check(args):
 
 
 def cmd_witness(args):
-    params = {"n": args.n}
-    if args.j is not None:
-        params["j"] = args.j
     out = []
-    for network, profile, meta in V.lower_bound_witness(args.kind, **params):
+    for network, profile, meta in V.lower_bound_witness(args.kind, args.n, args.j):
         doc = instance_to_json(network, profile)
         doc["meta"] = meta
         out.append(doc)
@@ -375,6 +364,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "budget", 1) < 1:  # every command with --budget
+            raise V.BadParamsError("budget must be >= 1")
         return COMMANDS[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

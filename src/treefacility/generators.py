@@ -8,6 +8,10 @@ from dataclasses import dataclass, replace
 from .network import LocationProfile, Point, TreeNetwork
 
 
+# Every generated edge length is drawn uniformly from this range.
+EDGE_LENGTHS = (0.5, 2.0)
+
+
 class BadConfigError(ValueError):
     pass
 
@@ -17,8 +21,6 @@ class GeneratorConfig:
     topology: str = "random_tree"  # line | star | caterpillar | random_tree
     min_nodes: int = 2
     max_nodes: int = 10
-    min_edge: float = 0.5
-    max_edge: float = 2.0
     min_agents: int = 2
     max_agents: int = 6
     placement: str = "anywhere"  # anywhere | nodes_only
@@ -33,31 +35,25 @@ class GeneratorConfig:
             raise BadConfigError("bad node count range")
         if self.min_agents < 1 or self.max_agents < self.min_agents:
             raise BadConfigError("bad agent count range")
-        if not (0 < self.min_edge <= self.max_edge):
-            raise BadConfigError("bad edge length range")
 
     def with_seed(self, seed: int) -> "GeneratorConfig":
         return replace(self, seed=seed)
-
-
-def _edge_len(rng, config):
-    return rng.uniform(config.min_edge, config.max_edge)
 
 
 def _make_network(rng, config) -> TreeNetwork:
     v = rng.randint(config.min_nodes, config.max_nodes)
     edges = []
     if config.topology == "line":
-        edges = [(i, i + 1, _edge_len(rng, config)) for i in range(v - 1)]
+        edges = [(i, i + 1, rng.uniform(*EDGE_LENGTHS)) for i in range(v - 1)]
     elif config.topology == "star":
-        edges = [(0, i, _edge_len(rng, config)) for i in range(1, v)]
+        edges = [(0, i, rng.uniform(*EDGE_LENGTHS)) for i in range(1, v)]
     elif config.topology == "caterpillar":
         spine = max(1, v // 2)
-        edges = [(i, i + 1, _edge_len(rng, config)) for i in range(spine - 1)]
+        edges = [(i, i + 1, rng.uniform(*EDGE_LENGTHS)) for i in range(spine - 1)]
         for leg in range(spine, v):
-            edges.append((rng.randrange(spine), leg, _edge_len(rng, config)))
+            edges.append((rng.randrange(spine), leg, rng.uniform(*EDGE_LENGTHS)))
     else:  # random_tree: uniform random attachment
-        edges = [(rng.randrange(i), i, _edge_len(rng, config)) for i in range(1, v)]
+        edges = [(rng.randrange(i), i, rng.uniform(*EDGE_LENGTHS)) for i in range(1, v)]
     return TreeNetwork(v, edges)
 
 
@@ -74,18 +70,17 @@ def random_point(rng, network: TreeNetwork, placement: str = "anywhere") -> Poin
     return network.point_on_edge(len(network.edges) - 1, network.edges[-1][2] / 2)
 
 
-def generate(config: GeneratorConfig, count: int | None = None):
-    """Deterministic stream of (network, profile) pairs for the given seed."""
+def generate(config: GeneratorConfig, count: int):
+    """The first ``count`` (network, profile) pairs of the deterministic
+    stream for the config's seed."""
     rng = random.Random(config.seed)
-    produced = 0
-    while count is None or produced < count:
+    for _ in range(count):
         network = _make_network(rng, config)
         n = rng.randint(config.min_agents, config.max_agents)
         profile = LocationProfile(
             network, [random_point(rng, network, config.placement) for _ in range(n)]
         )
         yield network, profile
-        produced += 1
 
 
 def line_with_coordinates(coords, extra_nodes=()):

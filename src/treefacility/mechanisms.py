@@ -11,12 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .network import (
-    LocationProfile,
-    NotALineError,  # noqa: F401  raised by the line-only mechanisms
-    Point,
-    TreeNetwork,
-)
+from .network import LocationProfile, Point, TreeNetwork
 from .objectives import (
     LocationDistribution,
     Objective,
@@ -339,20 +334,31 @@ class AverageOnly(Mechanism):
 
 
 def _split_top(text, sep=","):
-    """Split on sep at bracket depth zero."""
-    parts, depth, cur = [], 0, []
+    """Split on sep at bracket depth zero; MechanismError when the brackets
+    do not balance."""
+    parts, closers, cur = [], [], []
     for ch in text:
         if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch == sep and depth == 0:
+            closers.append("]" if ch == "[" else ")")
+        elif ch in "])" and (not closers or closers.pop() != ch):
+            raise MechanismError("unbalanced brackets")
+        if ch == sep and not closers:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
+    if closers:
+        raise MechanismError("unbalanced brackets")
     parts.append("".join(cur))
     return parts
+
+
+def _items(text, brackets="[]"):
+    """The comma-separated items of text, which must be wrapped in brackets."""
+    text = text.strip()
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise MechanismError(f"{text!r} must be wrapped in {brackets}")
+    return _split_top(text[1:-1])
 
 
 def _parse_fraction(text) -> Fraction:
@@ -362,54 +368,37 @@ def _parse_fraction(text) -> Fraction:
         raise MechanismError(f"bad rational {text!r}") from None
 
 
+# Spec head -> (number of ':'-separated arguments, builder taking them).
+_FAMILIES = {
+    **{cls.name: (0, cls) for cls in (TreeMedian, RandomDictator, LRM, HalfAvgHalfRD,
+                                       ConsecutiveMidpoints, AverageOnly)},
+    "dictator": (1, lambda i: Dictator(int(i))),
+    "kth": (1, lambda k: KthLocation("n" if k == "n" else int(k))),
+    "dgm": (2, lambda i, q: DGM(int(i), _parse_fraction(q))),
+    "rdgm": (1, lambda q: RandomizedDGM(_parse_fraction(q))),
+    "pb": (2, lambda ms, ws: PB([parse_mechanism(m) for m in _items(ms)],
+                                [float(_parse_fraction(w)) for w in _items(ws)])),
+    "mix": (1, lambda cs: Mixture([(parse_mechanism(m), float(_parse_fraction(p)))
+                                   for m, p in (_items(c, "()") for c in _items(cs))])),
+}
+
+
 def parse_mechanism(text: str) -> Mechanism:
     """Parse a mechanism spec string.
 
     Grammar: "dictator:3", "kth:1", "kth:n", "median", "dgm:3:2/3", "rd",
     "lrm", "half-avg-rd", "rdgm:2/3", "midpoints", "avg-only",
-    "pb:[kth:1,kth:n]:[1/2,1/2]", "mix:[(median,1/2),(rd,1/2)]".
+    "pb:[kth:1,kth:n]:[1/2,1/2]", "mix:[(median,1/2),(rd,1/2)]".  Each head
+    takes exactly its arguments, and brackets must balance.
     """
     text = text.strip()
-    head = text.split(":", 1)[0]
     try:
-        if text == "median":
-            return TreeMedian()
-        if text == "rd":
-            return RandomDictator()
-        if text == "lrm":
-            return LRM()
-        if text == "half-avg-rd":
-            return HalfAvgHalfRD()
-        if text == "midpoints":
-            return ConsecutiveMidpoints()
-        if text == "avg-only":
-            return AverageOnly()
-        if head == "dictator":
-            return Dictator(int(text.split(":")[1]))
-        if head == "kth":
-            arg = text.split(":")[1]
-            return KthLocation("n" if arg == "n" else int(arg))
-        if head == "dgm":
-            _, i, q = text.split(":")
-            return DGM(int(i), _parse_fraction(q))
-        if head == "rdgm":
-            return RandomizedDGM(_parse_fraction(text.split(":", 1)[1]))
-        if head == "pb":
-            body = text[len("pb:"):]
-            mtxt, wtxt = _split_top(body, ":")
-            members = [parse_mechanism(t) for t in _split_top(mtxt.strip("[]"))]
-            weights = [float(_parse_fraction(t)) for t in _split_top(wtxt.strip("[]"))]
-            return PB(members, weights)
-        if head == "mix":
-            body = text[len("mix:"):].strip("[]")
-            comps = []
-            for part in _split_top(body):
-                part = part.strip()
-                if not (part.startswith("(") and part.endswith(")")):
-                    raise MechanismError(f"bad mixture component {part!r}")
-                mtxt, ptxt = _split_top(part[1:-1], ",")
-                comps.append((parse_mechanism(mtxt), float(_parse_fraction(ptxt))))
-            return Mixture(comps)
-    except (IndexError, ValueError) as exc:
+        head, *args = _split_top(text, ":")
+        if head in _FAMILIES:
+            arity, build = _FAMILIES[head]
+            if len(args) != arity:
+                raise MechanismError(f"{head} takes {arity} argument(s), got {len(args)}")
+            return build(*args)
+    except (ValueError, OverflowError) as exc:  # a weight too large for a float
         raise MechanismError(f"bad mechanism spec {text!r}: {exc}") from None
     raise MechanismError(f"unknown mechanism spec {text!r}")

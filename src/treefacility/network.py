@@ -115,8 +115,8 @@ def _parse_edge(edge):
 class TreeNetwork:
     """An immutable weighted tree on nodes 0..node_count-1."""
 
-    __slots__ = ("node_count", "edges", "parent", "parent_edge", "order", "_adj", "_rows",
-                 "_line")
+    __slots__ = ("node_count", "edges", "parent", "parent_edge", "order", "adjacency",
+                 "_rows", "_line")
 
     def __init__(self, node_count: int, edges):
         if not _is_int(node_count) or node_count < 1:
@@ -151,7 +151,7 @@ class TreeNetwork:
         for idx, (u, v, w) in enumerate(edges):
             adj[u].append((v, idx))
             adj[v].append((u, idx))
-        self._adj = adj
+        self.adjacency = adj
         # Root the tree at node 0 once; the walk doubles as the
         # connectivity check.  parent[0] and parent_edge[0] are None.
         parent = [None] * node_count
@@ -173,10 +173,6 @@ class TreeNetwork:
 
     # -- basic structure ----------------------------------------------------
 
-    @property
-    def adjacency(self):
-        return self._adj
-
     def total_length(self) -> float:
         return sum(w for _, _, w in self.edges)
 
@@ -188,7 +184,7 @@ class TreeNetwork:
         reached = [source]
         for u in reached:
             du = dist[u]
-            for v, e in self._adj[u]:
+            for v, e in self.adjacency[u]:
                 if dist[v] < 0:
                     dist[v] = du + self.edges[e][2]
                     reached.append(v)
@@ -203,11 +199,6 @@ class TreeNetwork:
         return row
 
     # -- points -------------------------------------------------------------
-
-    def point_at_node(self, i: int) -> Point:
-        if not (0 <= i < self.node_count):
-            raise PointInvalidError(f"node {i} not in 0..{self.node_count - 1}")
-        return Point.at_node(i)
 
     def point_on_edge(self, edge_index: int, offset: float) -> Point:
         """Canonical point at ``offset`` from endpoint u of the given edge."""
@@ -359,20 +350,18 @@ class TreeNetwork:
     # -- subtree decomposition ---------------------------------------------
 
     def branch_of(self, p: Point, x: Point):
-        """The branch of T(G, p) containing x, as a BranchId; None when x
-        coincides with p."""
+        """The branch of T(G, p) containing x, named by the neighbour node
+        of p it leads to (an end of p's edge when p is interior); None when
+        x coincides with p.  A node's neighbours are distinct, as are an
+        edge's two ends, so the node names one branch."""
         if x == p:
             return None
         step = self.path(p, x)[1]
         e = self._edge_of(p, step)
         u, v, _ = self.edges[e]
-        toward = u if self._offset_on(e, step) < self._offset_on(e, p) else v
-        return BranchId(anchor=p, toward=toward, via_edge=e)
+        return u if self._offset_on(e, step) < self._offset_on(e, p) else v
 
     # -- line helpers -------------------------------------------------------
-
-    def is_line(self) -> bool:
-        return all(len(nbrs) <= 2 for nbrs in self._adj)
 
     def _line_walk(self):
         """(coordinates, nodes, xs): every node's coordinate, measured from
@@ -380,20 +369,15 @@ class TreeNetwork:
         path order from there, and their coordinates in that order.  The
         only check that a line-only operation runs on a path."""
         if self._line is None:
-            if not self.is_line():
+            if any(len(nbrs) > 2 for nbrs in self.adjacency):
                 raise NotALineError("network is not a line: a node has more than two neighbours")
-            ends = [i for i in range(self.node_count) if len(self._adj[i]) == 1]
+            ends = [i for i in range(self.node_count) if len(self.adjacency[i]) == 1]
             coords, nodes = self._bfs(0 if not ends or 0 in ends else min(ends))
             self._line = (coords, nodes, [coords[i] for i in nodes])
         return self._line
 
-    def line_coordinates(self):
-        """Coordinate of every node along the path, measured from the origin
-        endpoint (node 0 when it is an endpoint)."""
-        return self._line_walk()[0]
-
     def coordinate_of(self, p: Point) -> float:
-        coords = self.line_coordinates()
+        coords = self._line_walk()[0]
         if p.is_node:
             return coords[p.node]
         u, v, _ = self.edges[p.edge]
@@ -418,7 +402,7 @@ class TreeNetwork:
         if not 0 < k < len(xs):
             raise PointInvalidError(f"coordinate {c} outside the network")
         u, v = nodes[k - 1], nodes[k]
-        e = next(e for w, e in self._adj[u] if w == v)
+        e = next(e for w, e in self.adjacency[u] if w == v)
         return self.point_on_edge(e, c - coords[u] if self.edges[e][0] == u else coords[v] - c)
 
     # -- serialization ------------------------------------------------------
@@ -438,15 +422,6 @@ class TreeNetwork:
 
     def __repr__(self):
         return f"TreeNetwork(nodes={self.node_count}, edges={len(self.edges)})"
-
-
-@dataclass(frozen=True)
-class BranchId:
-    """One component of G minus a point, identified by its first edge step."""
-
-    anchor: Point
-    toward: int
-    via_edge: int
 
 
 @dataclass(frozen=True)
@@ -529,7 +504,7 @@ def point_from_json(network: TreeNetwork, doc, where="point") -> Point:
         i = doc["node"]
         if not _is_int(i):
             raise PointInvalidError(f"{where}: node id {i!r} is not an integer")
-        return network.point_at_node(i)
+        return network.check_point(Point.at_node(i))
     if isinstance(doc, dict) and "edge" in doc:
         e, t = doc["edge"], doc.get("offset")
         if not _is_int(e):
@@ -554,6 +529,8 @@ def profile_from_json(doc, base_dir=".") -> tuple[TreeNetwork, LocationProfile]:
     if isinstance(net_doc, str):
         import os
 
+        if "\0" in net_doc:  # open() raises a bare ValueError on it
+            raise NetworkError("'network' path contains a NUL character")
         with open(os.path.join(base_dir, net_doc)) as fh:
             net_doc = json.load(fh)
     network = network_from_json(net_doc)

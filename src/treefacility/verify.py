@@ -365,25 +365,23 @@ def lemma_identity_check(kind: str, rng: random.Random) -> IdentityReport:
 # -- lower-bound witness profiles -------------------------------------------
 
 
-def lower_bound_witness(kind: str, **params):
+def lower_bound_witness(kind: str, n: int = 4, j: int | None = None):
     """Witness profiles from the tightness arguments, for inspection and for
-    feeding the ratio checker.  No proof reasoning happens here."""
+    feeding the ratio checker; ``j`` picks one member of the randomized
+    family.  No proof reasoning happens here."""
+    if n < 2 or n % 2:
+        raise BadParamsError(f"{kind} needs an even n >= 2")
     if kind == "deterministic_2":
-        n = params.get("n", 4)
-        if n < 2 or n % 2:
-            raise BadParamsError("deterministic_2 needs an even n >= 2")
+        if j is not None:
+            raise BadParamsError("deterministic_2 takes no j")
         network, resolve = line_with_coordinates([0.0, 2.0], extra_nodes=[1.0])
         profile = LocationProfile(
             network, [resolve(0.0)] * (n // 2) + [resolve(2.0)] * (n // 2)
         )
         return [(network, profile, {"coords": [0.0, 2.0]})]
     if kind == "randomized_15_family":
-        n = params.get("n", 4)
-        js = params.get("js", [params.get("j")] if params.get("j") is not None else [0, 1, 2])
-        if n < 2 or n % 2:
-            raise BadParamsError("randomized_15_family needs an even n >= 2")
         out = []
-        for j in js:
+        for j in ([0, 1, 2] if j is None else [j]):
             left, right = -float(j), 4.0 - float(j)
             network, resolve = line_with_coordinates(
                 [left, right], extra_nodes=[left + 1, left + 2, left + 3]

@@ -7,7 +7,6 @@ from treefacility.network import (
     ENDPOINT_SNAP,
     ROUND_TOL,
     SP_TOL,
-    BranchId,
     LocationProfile,
     Point,
     PointInvalidError,
@@ -168,7 +167,7 @@ def sweep_minisos_point(network: TreeNetwork, locations, weights):
 def scan_point_at_coordinate(network: TreeNetwork, c: float) -> Point:
     """The point at line coordinate c by scanning: the first node within
     ENDPOINT_SNAP of c, else the first edge whose ends enclose c."""
-    coords = network.line_coordinates()
+    coords = [network.coordinate_of(Point.at_node(i)) for i in range(network.node_count)]
     for i, ci in enumerate(coords):
         if abs(c - ci) <= ENDPOINT_SNAP:
             return Point.at_node(i)
@@ -181,18 +180,13 @@ def scan_point_at_coordinate(network: TreeNetwork, c: float) -> Point:
 
 
 def branches_at(network: TreeNetwork, p: Point):
-    """All branches of T(G, p), in deterministic order."""
+    """All branches of T(G, p), each named by the neighbour node of p it
+    leads to, in deterministic order."""
     network.check_point(p)
     if p.is_node:
-        return [
-            BranchId(anchor=p, toward=v, via_edge=e)
-            for v, e in sorted(network.adjacency[p.node])
-        ]
+        return sorted(v for v, _ in network.adjacency[p.node])
     u, v, _ = network.edges[p.edge]
-    return [
-        BranchId(anchor=p, toward=u, via_edge=p.edge),
-        BranchId(anchor=p, toward=v, via_edge=p.edge),
-    ]
+    return [u, v]
 
 
 def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,

@@ -13,6 +13,7 @@ from treefacility.generators import (
 )
 from treefacility.network import (
     LocationProfile,
+    Point,
     instance_digest,
     instance_to_json,
     network_from_json,
@@ -68,7 +69,7 @@ class TestGenerator:
     def test_line_topology_is_line(self):
         cfg = GeneratorConfig(topology="line", max_nodes=8, seed=3)
         for net, _ in generate(cfg, 10):
-            assert net.is_line()
+            assert max(len(nbrs) for nbrs in net.adjacency) <= 2
 
     def test_star_topology(self):
         cfg = GeneratorConfig(topology="star", min_nodes=4, max_nodes=8, seed=4)
@@ -99,8 +100,6 @@ class TestGenerator:
             GeneratorConfig(topology="ring")
         with pytest.raises(BadConfigError):
             GeneratorConfig(min_nodes=5, max_nodes=3)
-        with pytest.raises(BadConfigError):
-            GeneratorConfig(min_edge=0.0)
 
 
 class TestRoundTrip:
@@ -157,6 +156,23 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "locations" in err[0]
 
+    def test_eval_nul_in_network_path_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nul.json"
+        path.write_text(json.dumps({"network": "a\0b", "locations": [{"node": 0}]}))
+        code = cli.main(["eval", "--mech", "median", "--instance", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "NUL" in err[0]
+
+    @pytest.mark.parametrize("command", [["eval", "--mech", "median", "--instance"], ["report"]])
+    def test_undecodable_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = cli.main([*command, str(path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_eval_node_count_beyond_edges_exit_2(self, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"network": {"nodes": 10**20, "edges": []},
@@ -177,6 +193,18 @@ class TestCLI:
     def test_eval_bad_mech_exit_2(self, two_agents_file, capsys):
         code = cli.main(["eval", "--mech", "bogus", "--instance", two_agents_file])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", [
+        "dictator:1:2", "kth:1:junk", "kth:n:", "mix:(median,1)",
+        "mix:[(median,1/2),(rd,1/2)", "pb:[median,dgm:2:2/3]:[1/2,1/2]]]",
+    ])
+    def test_eval_malformed_spec_exit_2(self, two_agents_file, capsys, spec):
+        code = cli.main(["eval", "--mech", spec, "--instance", two_agents_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_opt(self, two_agents_file, capsys):
         code = cli.main(["opt", "--instance", two_agents_file])
@@ -276,12 +304,16 @@ class TestCLI:
         assert "worst ratio" in out
 
     @pytest.mark.parametrize("command", ["sp-check", "boomerang-check", "ratio",
-                                         "lemma-check"])
+                                         "lemma-check", "search", "generate"])
     def test_zero_budget_exit_2(self, command, capsys):
-        subject = ["--kind", "flattening"] if command == "lemma-check" else ["--mech", "median"]
-        code = cli.main([command, *subject, "--budget", "0"])
-        assert code == 2
-        assert "budget" in capsys.readouterr().err
+        subject = {"lemma-check": ["--kind", "flattening"], "generate": []}.get(
+            command, ["--mech", "median"])
+        for budget in ("0", "-2"):
+            code = cli.main([command, *subject, "--budget", budget])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "budget" in captured.err
 
     def test_boomerang_check_randomized_mech_exit_2(self, capsys):
         code = cli.main(["boomerang-check", "--mech", "rd", "--budget", "1"])
@@ -333,10 +365,10 @@ class TestCLI:
 
     def test_overflowing_cost_raises(self):
         net = network_from_json({"nodes": 2, "edges": [[0, 1, 1.3e154]]})
-        prof = LocationProfile(net, [net.point_at_node(0)] * 2 + [net.point_at_node(1)])
-        assert social_cost(net, net.point_at_node(0), prof) == 1.3e154 ** 2
+        prof = LocationProfile(net, [Point.at_node(0)] * 2 + [Point.at_node(1)])
+        assert social_cost(net, Point.at_node(0), prof) == 1.3e154 ** 2
         with pytest.raises(CostOverflowError):
-            social_cost(net, net.point_at_node(1), prof)
+            social_cost(net, Point.at_node(1), prof)
         with pytest.raises(CostOverflowError):
             expected_social_cost(net, RandomDictator().run(net, prof), prof)
 
@@ -370,6 +402,15 @@ class TestCLI:
         assert code == 0
         doc = json.loads(out.splitlines()[0])
         assert len(doc["locations"]) == 4
+
+    def test_witness_j_picks_one_member_of_the_randomized_family(self, capsys):
+        code = cli.main(["witness", "--kind", "randomized_15_family", "--j", "2"])
+        [line] = capsys.readouterr().out.splitlines()
+        assert code == 0 and json.loads(line)["meta"]["j"] == 2
+        code = cli.main(["witness", "--kind", "deterministic_2", "--j", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
 
     def test_generate_jsonl(self, tmp_path):
         out = tmp_path / "inst.jsonl"

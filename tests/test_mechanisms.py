@@ -17,7 +17,6 @@ from treefacility.mechanisms import (
     MechanismError,
     Mixture,
     NeedTwoAgentsError,
-    NotALineError,
     NotBoomerangError,
     QOutOfRangeError,
     RandomDictator,
@@ -25,7 +24,7 @@ from treefacility.mechanisms import (
     TreeMedian,
     parse_mechanism,
 )
-from treefacility.network import LocationProfile, Point, TreeNetwork
+from treefacility.network import LocationProfile, NotALineError, Point, TreeNetwork
 from treefacility.objectives import Objective, expected_social_cost, optimal_location, point_mass
 
 from conftest import assert_dist_close, line_net, profile, star_net
@@ -407,7 +406,9 @@ class TestParse:
 
     @pytest.mark.parametrize("text", [
         "bogus", "dgm:1:1/2", "dictator:x", "pb:[rd]:[1]", "mix:[median]",
-        "rdgm:3/4",
+        "rdgm:3/4", "dictator:1:2", "kth:1:junk", "kth:n:", "mix:(median,1)",
+        "mix:[(median,1/2),(rd,1/2)", "pb:[median,dgm:2:2/3]:[1/2,1/2]]]",
+        "pb:[median]:[1e400]",
     ])
     def test_rejects_bad_specs(self, text):
         with pytest.raises((MechanismError, QOutOfRangeError)):

@@ -13,6 +13,7 @@ from treefacility.network import (
     DisconnectedError,
     LocationProfile,
     NonPositiveLengthError,
+    NotALineError,
     Point,
     PointInvalidError,
     TreeNetwork,
@@ -91,9 +92,9 @@ class TestDistanceRows:
     def test_cost_at_a_node_reads_one_row(self, big, monkeypatch):
         net, prof = big
         calls = self.count_rows(monkeypatch)
-        social_cost(net, net.point_at_node(17), prof)
+        social_cost(net, Point.at_node(17), prof)
         assert calls == [17]
-        social_cost(net, net.point_at_node(17), prof)
+        social_cost(net, Point.at_node(17), prof)
         assert calls == [17]
 
     def test_cost_at_an_interior_point_reads_two_rows(self, big, monkeypatch):
@@ -202,8 +203,8 @@ class TestPath:
         a, c = net.point_on_edge(0, 1e-7), Point.at_node(2)
         assert net.path(a, c) == [a, Point.at_node(1), c]
         assert net.path(c, a) == [c, Point.at_node(1), a]
-        assert net.branch_of(a, c).toward == 1
-        assert net.branch_of(a, Point.at_node(0)).toward == 0
+        assert net.branch_of(a, c) == 1
+        assert net.branch_of(a, Point.at_node(0)) == 0
 
     def test_point_along_path(self, unit_line3):
         a, b = Point.at_node(0), Point.at_node(2)
@@ -213,7 +214,7 @@ class TestPath:
 
 def subtrees_at(net, p, prof):
     """Partition the profile's agents into the branches at p, as a list of
-    (BranchId, agent indices); agents located exactly at p are in none."""
+    (branch, agent indices); agents located exactly at p are in none."""
     buckets = {b: [] for b in branches_at(net, p)}
     for i, x in enumerate(prof):
         b = net.branch_of(p, x)
@@ -307,7 +308,7 @@ class TestProfile:
 class TestLineHelpers:
     def test_coordinates(self):
         net = line_net(1.0, 2.0)
-        assert net.line_coordinates() == [0.0, 1.0, 3.0]
+        assert [net.coordinate_of(Point.at_node(i)) for i in range(3)] == [0.0, 1.0, 3.0]
         assert net.coordinate_of(net.point_on_edge(1, 0.5)) == pytest.approx(1.5)
         p = net.point_at_coordinate(1.5)
         assert net.coordinate_of(p) == pytest.approx(1.5)
@@ -320,7 +321,7 @@ class TestLineHelpers:
         lines.append(TreeNetwork(4, [(1, 0, 1.0), (0, 3, 4e-13), (3, 2, 2.0)]))
         lines.append(TreeNetwork(5, [(4, 2, 1.0), (2, 0, 3e-13), (0, 3, 2e-13), (3, 1, 0.5)]))
         for net in lines:
-            coords = net.line_coordinates()
+            coords = [net.coordinate_of(Point.at_node(i)) for i in range(net.node_count)]
             probes = [c + d for c in coords for d in (0.0, 1e-13, -1e-13, 5e-13, -5e-13,
                                                        1e-12, -1e-12, 2e-12, -2e-12)]
             probes += [(coords[u] + coords[v]) / 2 for u, v, _ in net.edges]
@@ -337,7 +338,10 @@ class TestLineHelpers:
 
     def test_not_a_line(self):
         star = star_net(3)
-        assert not star.is_line()
+        with pytest.raises(NotALineError):
+            star.coordinate_of(Point.at_node(1))
+        with pytest.raises(NotALineError):
+            star.point_at_coordinate(0.0)
 
 
 class TestFileFormats:
@@ -361,6 +365,8 @@ class TestFileFormats:
         assert "locations[3]" in str(err.value)
         with pytest.raises(PointInvalidError):
             point_from_json(net, {"edge": 0, "offset": 0.0}, where="locations[0]")
+        with pytest.raises(PointInvalidError, match="node 2 not in 0..1"):
+            point_from_json(net, {"node": 2})
 
 
 class TestTolerances:

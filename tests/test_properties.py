@@ -1,9 +1,14 @@
 """Property tests of distances, path steps, branches, subdivision, the
-walks of the medians and of the miniSOS optimum, the misreport sweeps and
-instance files on random trees."""
+walks of the medians and of the miniSOS optimum, the branch condition, the
+misreport sweeps and instance files on random trees, and of the CLI's exit
+codes on arbitrary instance documents and specs."""
 
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -11,6 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings, strategies as st  # noqa: E402
 
+from treefacility import cli  # noqa: E402
 from treefacility.generators import GeneratorConfig, generate  # noqa: E402
 from treefacility.mechanisms import (  # noqa: E402
     DGM,
@@ -39,6 +45,7 @@ from oracles import (  # noqa: E402
     branches_at,
     reference_walk,
     sweep_minisos_point,
+    verify_wavg_condition,
 )
 
 TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
@@ -58,7 +65,7 @@ def trees(draw):
 def grid_points(draw, net, count):
     """Nodes and points at multiples of length/GRID along the edges."""
     if not net.edges:
-        return [net.point_at_node(0)] * count
+        return [Point.at_node(0)] * count
     out = []
     for _ in range(count):
         e = draw(st.integers(0, len(net.edges) - 1))
@@ -77,7 +84,7 @@ def mixed_points(draw, net):
         if kind == "repeat" and out:
             out.append(draw(st.sampled_from(out)))
         elif kind == "node" or not net.edges:
-            out.append(net.point_at_node(draw(st.integers(0, net.node_count - 1))))
+            out.append(Point.at_node(draw(st.integers(0, net.node_count - 1))))
         else:
             used = [p.edge for p in out if not p.is_node]
             if kind == "shared-edge" and used:
@@ -335,3 +342,77 @@ def test_misreport_checks_report_what_the_generic_sweep_reports(data):
         got, expected = check(mech, net, prof), check(GenericSweep(mech), net, prof)
         assert (float.hex(getattr(got, field)), got.worst_case, got.tested_count) == (
             float.hex(getattr(expected, field)), expected.worst_case, expected.tested_count)
+
+
+@SETTINGS
+@given(st.data())
+def test_weighted_average_meets_the_branch_condition(data):
+    net = data.draw(trees())
+    points = list(data.draw(profiles(net)))
+    raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(points), max_size=len(points)))
+    weights = [x / sum(raw) for x in raw]
+    y = weighted_average(net, points, weights)
+    holds, report = verify_wavg_condition(net, y, points, weights)
+    assert holds, report
+
+
+# -- the CLI's exit codes ----------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+SLOTS = ("document", "network", "nodes", "edges", "edge", "locations", "point", "offset")
+
+
+@st.composite
+def instance_docs(draw):
+    """A generated instance as JSON with up to two of its slots (the whole
+    document, the network, its nodes, its edges, one edge, the locations,
+    one point, one offset) replaced by arbitrary JSON values."""
+    net = draw(trees())
+    doc = instance_to_json(net, LocationProfile(net, draw(mixed_points(net))))
+    out, net_doc, edges, locs = doc, doc["network"], doc["network"]["edges"], doc["locations"]
+    for slot in draw(st.lists(st.sampled_from(SLOTS), max_size=2, unique=True)):
+        value = draw(JSON_VALUES)
+        interior = [k for k, p in enumerate(locs) if isinstance(p, dict) and "offset" in p]
+        if slot == "document":
+            out = value
+        elif slot in ("network", "locations"):
+            doc[slot] = value
+        elif slot in ("nodes", "edges"):
+            net_doc[slot] = value
+        elif slot == "edge" and edges:
+            edges[draw(st.integers(0, len(edges) - 1))] = value
+        elif slot == "point":
+            locs[draw(st.integers(0, len(locs) - 1))] = value
+        elif slot == "offset" and interior:
+            locs[draw(st.sampled_from(interior))]["offset"] = value
+    return out
+
+
+GOOD_SPECS = ["dictator:2", "kth:n", "median", "dgm:1:2/3", "rd", "lrm", "half-avg-rd",
+              "rdgm:2/3", "midpoints", "avg-only", "pb:[kth:1,kth:n]:[1/2,1/2]",
+              "mix:[(median,1/2),(rd,1/2)]"]
+SPEC_CHARS = "[](),:/.-0123456789eknmdiapbthrgx"
+SPEC = st.sampled_from(GOOD_SPECS) | st.text(SPEC_CHARS, max_size=24) | st.builds(
+    lambda spec, cut, junk: spec[:cut] + junk, st.sampled_from(GOOD_SPECS),
+    st.integers(0, 30), st.text(SPEC_CHARS, max_size=4))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(instance_docs(), SPEC, st.sampled_from(["minisos", "minisum", "minimax", "mean"]))
+def test_eval_exits_0_1_or_2_with_one_error_line(doc, spec, objective):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["eval", f"--mech={spec}", "--instance", path,
+                             "--objective", objective])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -275,8 +275,9 @@ class TestWitnesses:
         assert meta["coords"] == [0.0, 2.0]
 
     def test_randomized_family_shape(self):
-        fam = lower_bound_witness("randomized_15_family", n=4, js=[0, 1, 2])
+        fam = lower_bound_witness("randomized_15_family", n=4)
         assert len(fam) == 3
+        assert [meta["j"] for _, _, meta in fam] == [0, 1, 2]
         for net, prof, meta in fam:
             left, right = meta["coords"]
             assert right - left == pytest.approx(4.0)
@@ -285,6 +286,8 @@ class TestWitnesses:
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             lower_bound_witness("deterministic_2", n=3)
+        with pytest.raises(BadParamsError):
+            lower_bound_witness("deterministic_2", j=3)
         with pytest.raises(BadParamsError):
             lower_bound_witness("unknown")
 
