@@ -317,6 +317,8 @@ def cmd_report(args):
                 try:
                     key = (row["mechanism"], row["objective"])
                     ratio = float(row["ratio"]) if row["ratio"] else None
+                    if ratio is not None and not 0.0 <= ratio < float("inf"):
+                        raise ValueError(f"ratio {row['ratio']!r} is not a finite number >= 0")
                 except (KeyError, ValueError) as exc:
                     raise NetworkError(f"{path}:{lineno}: malformed CSV row ({exc})")
                 groups.setdefault(key, []).append(ratio)

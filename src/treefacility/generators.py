@@ -82,22 +82,3 @@ def generate(config: GeneratorConfig, count: int):
         )
         yield network, profile
 
-
-def line_with_coordinates(coords, extra_nodes=()):
-    """A path network whose nodes sit at the given sorted-unique coordinates.
-
-    Returns (network, coordinate -> Point resolver).  Coordinates may be any
-    reals; they are shifted so the leftmost becomes node 0.
-    """
-    marks = sorted(set(float(c) for c in coords) | set(float(c) for c in extra_nodes))
-    if len(marks) == 1:
-        net = TreeNetwork(1, [])
-        return net, lambda c: Point.at_node(0)
-    base = marks[0]
-    edges = [(i, i + 1, marks[i + 1] - marks[i]) for i in range(len(marks) - 1)]
-    net = TreeNetwork(len(marks), edges)
-
-    def resolve(c):
-        return net.point_at_coordinate(float(c) - base)
-
-    return net, resolve

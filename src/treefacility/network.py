@@ -116,7 +116,7 @@ class TreeNetwork:
     """An immutable weighted tree on nodes 0..node_count-1."""
 
     __slots__ = ("node_count", "edges", "parent", "parent_edge", "order", "adjacency",
-                 "_rows", "_line")
+                 "_total", "_rows", "_line")
 
     def __init__(self, node_count: int, edges):
         if not _is_int(node_count) or node_count < 1:
@@ -147,6 +147,7 @@ class TreeNetwork:
             raise NetworkError(f"total edge length {total:g} is too large: its square overflows")
         self.node_count = node_count
         self.edges = edges
+        self._total = total
         adj = [[] for _ in range(node_count)]
         for idx, (u, v, w) in enumerate(edges):
             adj[u].append((v, idx))
@@ -174,7 +175,7 @@ class TreeNetwork:
     # -- basic structure ----------------------------------------------------
 
     def total_length(self) -> float:
-        return sum(w for _, _, w in self.edges)
+        return self._total
 
     def _bfs(self, source: int):
         """Distances from node ``source`` to every node, and the nodes in the
@@ -409,16 +410,6 @@ class TreeNetwork:
 
     def to_json(self):
         return {"nodes": self.node_count, "edges": [[u, v, w] for u, v, w in self.edges]}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TreeNetwork)
-            and self.node_count == other.node_count
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.node_count, self.edges))
 
     def __repr__(self):
         return f"TreeNetwork(nodes={self.node_count}, edges={len(self.edges)})"

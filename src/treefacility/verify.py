@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .generators import GeneratorConfig, generate, line_with_coordinates, random_point
+from .generators import EDGE_LENGTHS, GeneratorConfig, generate, random_point
 from .mechanisms import Mechanism
 from .network import (
     ENDPOINT_SNAP,
@@ -177,8 +177,6 @@ def _perturb_point(rng, network, point, step) -> Point:
     incident edge)."""
     if point.is_node:
         nbrs = network.adjacency[point.node]
-        if not nbrs:
-            return point
         _, e = nbrs[rng.randrange(len(nbrs))]
         u, v, w = network.edges[e]
         t = min(step, w)
@@ -228,7 +226,6 @@ def ratio_search(mechanism: Mechanism, objective: Objective,
 
 @dataclass
 class IdentityReport:
-    kind: str
     lhs: float
     rhs: float
     gap: float  # lhs - rhs for the movement bound, |lhs - rhs| for the identities
@@ -246,7 +243,7 @@ def check_wavg_movement(network, locations, moved, weights) -> IdentityReport:
     lhs = network.distance(a, a2)
     rhs = sum(w * network.distance(y, y2)
               for w, y, y2 in zip(weights, locations, moved))
-    return IdentityReport("wavg_movement", lhs, rhs, lhs - rhs)
+    return IdentityReport(lhs, rhs, lhs - rhs)
 
 
 def _branch_toward(network, p: Point, q: Point):
@@ -273,7 +270,7 @@ def check_cost_difference(network, profile, a: Point, b: Point) -> IdentityRepor
             out_tb += dxa
     lhs = social_cost(network, a, profile) - social_cost(network, b, profile)
     rhs = -n * d * d - 2.0 * d * (out_tb - in_tb)
-    return IdentityReport("cost_difference", lhs, rhs, abs(lhs - rhs))
+    return IdentityReport(lhs, rhs, abs(lhs - rhs))
 
 
 def check_flattening(network, profile, a: Point, b: Point) -> IdentityReport:
@@ -296,7 +293,7 @@ def check_flattening(network, profile, a: Point, b: Point) -> IdentityReport:
     opt_pt, _ = optimal_location(network, relocated, Objective.MINISOS)
     lhs = social_cost(network, a, profile) - social_cost(network, b, profile)
     rhs = -n * d * d + 2.0 * n * d * network.distance(a, opt_pt)
-    return IdentityReport("flattening", lhs, rhs, abs(lhs - rhs))
+    return IdentityReport(lhs, rhs, abs(lhs - rhs))
 
 
 def make_movement_instance(rng):
@@ -322,7 +319,7 @@ def make_two_anchor_instance(rng):
     path(a, b); the optimum beyond b.  Gives up after 60 tries."""
     for _ in range(60):
         spine = rng.randint(3, 6)
-        lengths = [rng.uniform(0.5, 2.0) for _ in range(spine - 1)]
+        lengths = [rng.uniform(*EDGE_LENGTHS) for _ in range(spine - 1)]
         edges = [(i, i + 1, lengths[i]) for i in range(spine - 1)]
         ia = rng.randint(0, spine - 3)
         ib = rng.randint(ia + 1, spine - 2)
@@ -365,32 +362,30 @@ def lemma_identity_check(kind: str, rng: random.Random) -> IdentityReport:
 # -- lower-bound witness profiles -------------------------------------------
 
 
+def _two_clusters(k: int, n: int, meta):
+    """n/2 agents at each end of a line of k unit edges."""
+    network = TreeNetwork(k + 1, [(i, i + 1, 1.0) for i in range(k)])
+    profile = LocationProfile(
+        network, [Point.at_node(0)] * (n // 2) + [Point.at_node(k)] * (n // 2)
+    )
+    return network, profile, meta
+
+
 def lower_bound_witness(kind: str, n: int = 4, j: int | None = None):
     """Witness profiles from the tightness arguments, for inspection and for
-    feeding the ratio checker; ``j`` picks one member of the randomized
-    family.  No proof reasoning happens here."""
+    feeding the ratio checker; ``j`` in 0..2 picks one member of the
+    randomized family.  No proof reasoning happens here."""
     if n < 2 or n % 2:
         raise BadParamsError(f"{kind} needs an even n >= 2")
     if kind == "deterministic_2":
         if j is not None:
             raise BadParamsError("deterministic_2 takes no j")
-        network, resolve = line_with_coordinates([0.0, 2.0], extra_nodes=[1.0])
-        profile = LocationProfile(
-            network, [resolve(0.0)] * (n // 2) + [resolve(2.0)] * (n // 2)
-        )
-        return [(network, profile, {"coords": [0.0, 2.0]})]
+        return [_two_clusters(2, n, {"coords": [0.0, 2.0]})]
     if kind == "randomized_15_family":
-        out = []
-        for j in ([0, 1, 2] if j is None else [j]):
-            left, right = -float(j), 4.0 - float(j)
-            network, resolve = line_with_coordinates(
-                [left, right], extra_nodes=[left + 1, left + 2, left + 3]
-            )
-            profile = LocationProfile(
-                network, [resolve(left)] * (n // 2) + [resolve(right)] * (n // 2)
-            )
-            out.append((network, profile, {"coords": [left, right], "j": j}))
-        return out
+        if j not in (None, 0, 1, 2):
+            raise BadParamsError(f"randomized_15_family has members j = 0, 1, 2, not {j}")
+        return [_two_clusters(4, n, {"coords": [0.0 - m, 4.0 - m], "j": m})
+                for m in ([0, 1, 2] if j is None else [j])]
     raise BadParamsError(f"unknown witness kind {kind!r}")
 
 

@@ -1,7 +1,6 @@
 """Brute-force oracles the tests compare the package against, and checks
 that only the tests use."""
 
-from treefacility.generators import line_with_coordinates
 from treefacility.mechanisms import Mechanism
 from treefacility.network import (
     ENDPOINT_SNAP,
@@ -214,6 +213,26 @@ def verify_wavg_condition(network: TreeNetwork, candidate: Point, locations,
         if inside > outside + tol:
             holds = False
     return holds, report
+
+
+def line_with_coordinates(coords, extra_nodes=()):
+    """A path network whose nodes sit at the given sorted-unique coordinates.
+
+    Returns (network, coordinate -> Point resolver).  Coordinates may be any
+    reals; they are shifted so the leftmost becomes node 0.
+    """
+    marks = sorted(set(float(c) for c in coords) | set(float(c) for c in extra_nodes))
+    if len(marks) == 1:
+        net = TreeNetwork(1, [])
+        return net, lambda c: Point.at_node(0)
+    base = marks[0]
+    edges = [(i, i + 1, marks[i + 1] - marks[i]) for i in range(len(marks) - 1)]
+    net = TreeNetwork(len(marks), edges)
+
+    def resolve(c):
+        return net.point_at_coordinate(float(c) - base)
+
+    return net, resolve
 
 
 class BadOrderingError(ValueError):

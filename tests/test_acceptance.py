@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from treefacility.generators import GeneratorConfig, generate, line_with_coordinates
+from treefacility.generators import GeneratorConfig, generate
 from treefacility.mechanisms import (
     DGM,
     AverageOnly,
@@ -32,7 +32,13 @@ from treefacility.verify import (
 )
 from treefacility.objectives import weighted_average
 
-from oracles import grid_optimum, immigrants_check, points_on_single_path, verify_wavg_condition
+from oracles import (
+    grid_optimum,
+    immigrants_check,
+    line_with_coordinates,
+    points_on_single_path,
+    verify_wavg_condition,
+)
 
 Q23 = Fraction(2, 3)
 

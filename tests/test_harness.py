@@ -8,7 +8,6 @@ from treefacility.generators import (
     BadConfigError,
     GeneratorConfig,
     generate,
-    line_with_coordinates,
     random_point,
 )
 from treefacility.network import (
@@ -24,6 +23,7 @@ from treefacility.objectives import CostOverflowError, expected_social_cost, soc
 from treefacility.verify import boomerang_check, sp_check
 
 from conftest import line_net, run_capped
+from oracles import line_with_coordinates
 
 
 def write_instance(path, network, profile):
@@ -59,6 +59,36 @@ class TestGenerator:
         a = [instance_digest(n, p) for n, p in generate(cfg, 20)]
         b = [instance_digest(n, p) for n, p in generate(cfg, 20)]
         assert a == b
+
+    # Every benchmark input is built through generate, so its stream is
+    # pinned across versions, not only within one run.
+    GOLDEN = {
+        ("line", "anywhere"): ["c6efbf4928de", "b4699ff77341", "4492ff0cd057", "aa02cf058802"],
+        ("line", "nodes_only"): ["aedc6b27f07a", "2b776dc34d45", "5712ef194375", "b4522309917c"],
+        ("star", "anywhere"): ["7e03d7aa45d4", "811d37483695", "a4e1fd321a62", "48f3b167eace"],
+        ("star", "nodes_only"): ["e80f683461c6", "7d1256a1398d", "216d10fb3dd3", "567fcfd0ecb7"],
+        ("caterpillar", "anywhere"): ["11a247c323f9", "96ace409346a", "18aaca5d6611",
+                                      "a10b856e71b2"],
+        ("caterpillar", "nodes_only"): ["6658b2af590e", "480b8d4c9e0c", "11e8f32df2e7",
+                                        "508b62860d7c"],
+        ("random_tree", "anywhere"): ["9eac6be61ea7", "c5005fe34617", "77ce7ef5bf22",
+                                      "94a940d9006b"],
+        ("random_tree", "nodes_only"): ["815642541b4b", "474aef615265", "26fdb1256d61",
+                                        "7dd6c55f732c"],
+    }
+
+    @pytest.mark.parametrize("topology,placement", sorted(GOLDEN))
+    def test_stream_is_pinned(self, topology, placement):
+        cfg = GeneratorConfig(topology=topology, placement=placement, max_nodes=12,
+                              max_agents=8, seed=5)
+        digests = [instance_digest(n, p) for n, p in generate(cfg, 4)]
+        assert digests == self.GOLDEN[topology, placement]
+
+    def test_large_tree_stream_is_pinned(self):
+        cfg = GeneratorConfig(min_nodes=1000, max_nodes=1000, min_agents=200,
+                              max_agents=200, seed=5)
+        digests = [instance_digest(n, p) for n, p in generate(cfg, 2)]
+        assert digests == ["28f58fba82e3", "6fea0cf977d4"]
 
     def test_different_seeds_differ(self):
         cfg = GeneratorConfig(max_nodes=10, seed=1)
@@ -109,7 +139,7 @@ class TestRoundTrip:
             doc = instance_to_json(net, prof)
             text = json.dumps(doc)
             net2, prof2 = profile_from_json(json.loads(text))
-            assert net2 == net
+            assert net2.to_json() == net.to_json()
             assert list(prof2) == list(prof)
             assert instance_digest(net2, prof2) == instance_digest(net, prof)
 
@@ -246,7 +276,8 @@ class TestCLI:
                            "deviated_cost": dev_cost}
         assert witness["true_cost"] - witness["deviated_cost"] == rep.max_regret > 0.0
         # eval replays the written instance.
-        assert profile_from_json(json.loads(out_path.read_text())) == (net, prof)
+        replayed = profile_from_json(json.loads(out_path.read_text()))
+        assert instance_to_json(*replayed) == instance_to_json(net, prof)
         assert cli.main(["eval", "--mech", "avg-only", "--instance", str(out_path)]) == 0
         printed = capsys.readouterr().out.splitlines()[0]
         assert json.loads(printed[len("distribution: "):]) == AverageOnly().run(net, prof).to_json()
@@ -407,10 +438,15 @@ class TestCLI:
         code = cli.main(["witness", "--kind", "randomized_15_family", "--j", "2"])
         [line] = capsys.readouterr().out.splitlines()
         assert code == 0 and json.loads(line)["meta"]["j"] == 2
-        code = cli.main(["witness", "--kind", "deterministic_2", "--j", "3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == "" and captured.err.startswith("error:")
+        code = cli.main(["witness", "--kind", "randomized_15_family", "--j", "0"])
+        [line] = capsys.readouterr().out.splitlines()
+        assert code == 0 and '"coords": [0.0, 4.0], "j": 0' in line
+        for argv in (["deterministic_2", "--j", "3"], ["randomized_15_family", "--j", "7"]):
+            code = cli.main(["witness", "--kind", *argv])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == "" and captured.err.startswith("error:")
+            assert len(captured.err.splitlines()) == 1
 
     def test_generate_jsonl(self, tmp_path):
         out = tmp_path / "inst.jsonl"
@@ -496,3 +532,19 @@ class TestReport:
         bad = tmp_path / "junk.csv"
         bad.write_text("this,is,not\nratio,data,at all\n")
         assert cli.main(["report", str(bad)]) == 2
+
+    @pytest.mark.parametrize("ratios", [["nan", "3.0"], ["inf"], ["-3"]])
+    def test_ratio_that_is_not_finite_and_nonnegative_exit_2(self, tmp_path, capsys, ratios):
+        # A nan first would make max() return nan and hide the 3.0 row.
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["instance_digest", "mechanism", "objective",
+                        "mech_cost", "opt_cost", "ratio", "seed"])
+            for ratio in ratios:
+                w.writerow(["deadbeef0000", "median", "minisos", "3", "1", ratio, "1"])
+        assert cli.main(["report", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}:2: malformed CSV row (")
+        assert len(captured.err.splitlines()) == 1

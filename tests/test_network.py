@@ -348,7 +348,7 @@ class TestFileFormats:
     def test_round_trip(self):
         net = line_net(1.0, 2.5)
         doc = net.to_json()
-        assert network_from_json(doc) == net
+        assert network_from_json(doc).to_json() == net.to_json()
 
     def test_profile_parse(self):
         doc = {

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from treefacility.generators import GeneratorConfig, generate, line_with_coordinates
+from treefacility.generators import GeneratorConfig, generate
 from treefacility.mechanisms import (
     DGM,
     LRM,
@@ -32,7 +32,13 @@ from treefacility.verify import (
 )
 
 from conftest import line_net, profile, star_net
-from oracles import BadOrderingError, grid_optimum, immigrants_check, points_on_single_path
+from oracles import (
+    BadOrderingError,
+    grid_optimum,
+    immigrants_check,
+    line_with_coordinates,
+    points_on_single_path,
+)
 
 Q23 = Fraction(2, 3)
 
@@ -288,6 +294,9 @@ class TestWitnesses:
             lower_bound_witness("deterministic_2", n=3)
         with pytest.raises(BadParamsError):
             lower_bound_witness("deterministic_2", j=3)
+        for j in (-1, 3, 7):
+            with pytest.raises(BadParamsError):
+                lower_bound_witness("randomized_15_family", j=j)
         with pytest.raises(BadParamsError):
             lower_bound_witness("unknown")
 
