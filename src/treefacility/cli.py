@@ -22,6 +22,7 @@ from .network import (
     instance_digest,
     instance_to_json,
     profile_from_json,
+    read_json,
 )
 from .objectives import (
     DistributionInvalidError,
@@ -60,11 +61,9 @@ MISREPORT_CHECKS = {
 
 
 def _load_instance(path):
-    with open(path) as fh:
-        doc = json.load(fh)
     import os
 
-    return profile_from_json(doc, base_dir=os.path.dirname(path) or ".")
+    return profile_from_json(read_json(path), base_dir=os.path.dirname(path) or ".")
 
 
 def _bound_for(mechanism_name, objective, topology):
@@ -306,22 +305,34 @@ def cmd_generate(args):
     return 0
 
 
-def cmd_report(args):
-    groups = {}
-    for path in args.csvs:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "mechanism" not in reader.fieldnames:
+def _read_ratios(path):
+    """((mechanism, objective), ratio or None) for each row of a ratio CSV."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if "mechanism" not in header:
                 raise NetworkError(f"{path}: malformed CSV (missing header)")
-            for lineno, row in enumerate(reader, start=2):
+            for fields in filter(None, reader):  # blank lines are skipped
                 try:
-                    key = (row["mechanism"], row["objective"])
+                    if len(fields) != len(header):
+                        raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
+                    row = dict(zip(header, fields))
                     ratio = float(row["ratio"]) if row["ratio"] else None
                     if ratio is not None and not 0.0 <= ratio < float("inf"):
                         raise ValueError(f"ratio {row['ratio']!r} is not a finite number >= 0")
                 except (KeyError, ValueError) as exc:
-                    raise NetworkError(f"{path}:{lineno}: malformed CSV row ({exc})")
-                groups.setdefault(key, []).append(ratio)
+                    raise NetworkError(f"{path}:{reader.line_num}: malformed CSV row ({exc})")
+                yield (row["mechanism"], row["objective"]), ratio
+        except csv.Error as exc:  # e.g. a field longer than the csv module allows
+            raise NetworkError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+
+
+def cmd_report(args):
+    groups = {}
+    for path in args.csvs:
+        for key, ratio in _read_ratios(path):
+            groups.setdefault(key, []).append(ratio)
     header = ["mechanism", "objective", "instances", "zero_opt", "max_ratio", "mean_ratio",
               "bound", "flag"]
     rows = []

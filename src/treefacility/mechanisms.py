@@ -248,7 +248,7 @@ class HalfAvgHalfRD(Mechanism):
 
     def run(self, network, profile):
         n = len(profile)
-        return _compose(network, list(profile), [1.0 / n] * n)
+        return _compose(network, profile, [1.0 / n] * n)
 
 
 class RandomizedDGM(Mechanism):
@@ -376,11 +376,23 @@ _FAMILIES = {
     "kth": (1, lambda k: KthLocation("n" if k == "n" else int(k))),
     "dgm": (2, lambda i, q: DGM(int(i), _parse_fraction(q))),
     "rdgm": (1, lambda q: RandomizedDGM(_parse_fraction(q))),
-    "pb": (2, lambda ms, ws: PB([parse_mechanism(m) for m in _items(ms)],
+    "pb": (2, lambda ms, ws: PB([_parse(m) for m in _items(ms)],
                                 [float(_parse_fraction(w)) for w in _items(ws)])),
-    "mix": (1, lambda cs: Mixture([(parse_mechanism(m), float(_parse_fraction(p)))
+    "mix": (1, lambda cs: Mixture([(_parse(m), float(_parse_fraction(p)))
                                    for m, p in (_items(c, "()") for c in _items(cs))])),
 }
+
+
+def _parse(text):
+    """parse_mechanism without its error prefix: a nested spec's error
+    rises unwrapped."""
+    head, *args = _split_top(text.strip(), ":")
+    if head not in _FAMILIES:
+        raise MechanismError(f"unknown mechanism {head!r}")
+    arity, build = _FAMILIES[head]
+    if len(args) != arity:
+        raise MechanismError(f"{head} takes {arity} argument(s), got {len(args)}")
+    return build(*args)
 
 
 def parse_mechanism(text: str) -> Mechanism:
@@ -391,14 +403,9 @@ def parse_mechanism(text: str) -> Mechanism:
     "pb:[kth:1,kth:n]:[1/2,1/2]", "mix:[(median,1/2),(rd,1/2)]".  Each head
     takes exactly its arguments, and brackets must balance.
     """
-    text = text.strip()
     try:
-        head, *args = _split_top(text, ":")
-        if head in _FAMILIES:
-            arity, build = _FAMILIES[head]
-            if len(args) != arity:
-                raise MechanismError(f"{head} takes {arity} argument(s), got {len(args)}")
-            return build(*args)
+        return _parse(text)
+    except RecursionError:
+        raise MechanismError(f"bad mechanism spec {text.strip()!r}: nested too deeply") from None
     except (ValueError, OverflowError) as exc:  # a weight too large for a float
-        raise MechanismError(f"bad mechanism spec {text!r}: {exc}") from None
-    raise MechanismError(f"unknown mechanism spec {text!r}")
+        raise MechanismError(f"bad mechanism spec {text.strip()!r}: {exc}") from None

@@ -131,6 +131,7 @@ class TreeNetwork:
                 f"{len(edges)} edges cannot connect {node_count} nodes (a tree has node_count - 1 edges)"
             )
         seen = set()
+        total = 0.0  # added left to right: sum() compensates from Python 3.12 on
         for u, v, w in edges:
             if not (0 <= u < node_count) or not (0 <= v < node_count):
                 raise BadNodeIdError(f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
@@ -142,7 +143,7 @@ class TreeNetwork:
             seen.add(key)
             if not (w > 0.0) or w != w or w == float("inf"):
                 raise NonPositiveLengthError(f"edge ({u}, {v}) has non-positive length {w}")
-        total = sum(w for _, _, w in edges)
+            total += w
         if total * total == float("inf"):
             raise NetworkError(f"total edge length {total:g} is too large: its square overflows")
         self.node_count = node_count
@@ -415,37 +416,29 @@ class TreeNetwork:
         return f"TreeNetwork(nodes={self.node_count}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class LocationProfile:
-    """Ordered reported locations of the n agents, canonical on one network."""
+class LocationProfile(tuple):
+    """Ordered reported locations of the n agents: a tuple of points, each
+    checked on one network."""
 
-    locations: tuple
+    __slots__ = ()
 
-    def __init__(self, network: TreeNetwork, locations):
+    def __new__(cls, network: TreeNetwork, locations):
         locs = tuple(network.check_point(p) for p in locations)
         if not locs:
             raise NetworkError("a profile needs at least one agent")
-        object.__setattr__(self, "locations", locs)
+        return tuple.__new__(cls, locs)
 
-    def __len__(self):
-        return len(self.locations)
-
-    def __iter__(self):
-        return iter(self.locations)
-
-    def __getitem__(self, i):
-        return self.locations[i]
+    def __reduce__(self):  # copy and unpickle without a network: the points are checked
+        return tuple.__new__, (LocationProfile, tuple(self))
 
     def replace(self, network: TreeNetwork, i: int, p: Point) -> "LocationProfile":
         """The profile with agent i at p; only p needs checking."""
-        locs = list(self.locations)
+        locs = list(self)
         locs[i] = network.check_point(p)
-        out = object.__new__(LocationProfile)
-        object.__setattr__(out, "locations", tuple(locs))
-        return out
+        return tuple.__new__(LocationProfile, locs)
 
     def to_json(self):
-        return [p.to_json() for p in self.locations]
+        return [p.to_json() for p in self]
 
 
 # -- subdivision -----------------------------------------------------------
@@ -480,6 +473,16 @@ def subdivide(network: TreeNetwork, anchors):
 
 
 # -- file formats ----------------------------------------------------------
+
+
+def read_json(path):
+    """The JSON document in the file at path.  A document nested deeper
+    than the decoder's stack is a NetworkError, not a RecursionError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise NetworkError(f"{path}: JSON nested too deeply") from None
 
 
 def network_from_json(doc) -> TreeNetwork:
@@ -522,8 +525,7 @@ def profile_from_json(doc, base_dir=".") -> tuple[TreeNetwork, LocationProfile]:
 
         if "\0" in net_doc:  # open() raises a bare ValueError on it
             raise NetworkError("'network' path contains a NUL character")
-        with open(os.path.join(base_dir, net_doc)) as fh:
-            net_doc = json.load(fh)
+        net_doc = read_json(os.path.join(base_dir, net_doc))
     network = network_from_json(net_doc)
     pts = [
         point_from_json(network, loc, where=f"locations[{i}]")

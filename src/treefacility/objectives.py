@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
 
 from .network import (
     ENDPOINT_SNAP,
@@ -59,29 +58,27 @@ class Objective(enum.Enum):
             raise NetworkError(f"unknown objective {text!r}") from None
 
 
-@dataclass(frozen=True)
-class LocationDistribution:
-    """Finite-support probability distribution over points of one network."""
+class LocationDistribution(tuple):
+    """Finite-support probability distribution over points of one network:
+    a tuple of (Point, prob) pairs, duplicates merged, in point_sort_key
+    order."""
 
-    support: tuple  # ((Point, prob), ...) with duplicates merged
-
-    def __iter__(self):
-        return iter(self.support)
+    __slots__ = ()
 
     @property
     def points(self):
-        return [p for p, _ in self.support]
+        return [p for p, _ in self]
 
     def is_point_mass(self) -> bool:
-        return len(self.support) == 1
+        return len(self) == 1
 
     def the_point(self) -> Point:
         if not self.is_point_mass():
             raise DistributionInvalidError("distribution is not a point mass")
-        return self.support[0][0]
+        return self[0][0]
 
     def to_json(self):
-        return [[p.to_json(), prob] for p, prob in self.support]
+        return [[p.to_json(), prob] for p, prob in self]
 
 
 def make_distribution(pairs) -> LocationDistribution:
@@ -97,12 +94,11 @@ def make_distribution(pairs) -> LocationDistribution:
     total = sum(merged.values())
     if abs(total - 1.0) > ROUND_TOL:
         raise DistributionInvalidError(f"probabilities sum to {total}, expected 1")
-    support = tuple(sorted(merged.items(), key=lambda kv: point_sort_key(kv[0])))
-    return LocationDistribution(support=support)
+    return LocationDistribution(sorted(merged.items(), key=lambda kv: point_sort_key(kv[0])))
 
 
 def point_mass(p: Point) -> LocationDistribution:
-    return LocationDistribution(support=((p, 1.0),))
+    return LocationDistribution(((p, 1.0),))
 
 
 def _finite(cost: float) -> float:
@@ -370,11 +366,10 @@ def _minimax_point(network, locations):
 def optimal_location(network: TreeNetwork, profile: LocationProfile,
                      objective: Objective = Objective.MINISOS):
     """(optimal point, optimal social cost) for the given objective."""
-    locs = list(profile)
     if objective is Objective.MINISOS:
-        point = _minisos_point(network, locs, [1.0] * len(locs))
+        point = _minisos_point(network, profile, [1.0] * len(profile))
     elif objective is Objective.MINISUM:
-        point = median_point(network, locs)
+        point = median_point(network, profile)
     else:
-        point = _minimax_point(network, locs)
+        point = _minimax_point(network, profile)
     return point, social_cost(network, point, profile, objective)

@@ -51,7 +51,7 @@ def rng():
 
 def assert_dist_close(net, da, db, tol=1e-9):
     """Two finite-support distributions agree up to point tolerance."""
-    rest = list(db.support)
+    rest = list(db)
     for p, prob in da:
         matched = 0.0
         keep = []

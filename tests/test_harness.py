@@ -236,6 +236,32 @@ class TestCLI:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("command", ["eval", "sp-check"])
+    @pytest.mark.parametrize("nest", ["mix:[({},1)]", "pb:[{}]:[1]"])
+    def test_spec_nested_past_the_stack_exit_2(self, two_agents_file, capsys, command, nest):
+        spec = "median"
+        for _ in range(600):
+            spec = nest.format(spec)
+        rest = ["--instance", two_agents_file] if command == "eval" else ["--budget", "1"]
+        assert cli.main([command, "--mech", spec, *rest]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad mechanism spec")
+        assert err[0].endswith("nested too deeply")
+
+    @pytest.mark.parametrize("network_file", [False, True])
+    def test_json_nested_past_the_stack_exit_2(self, tmp_path, capsys, network_file):
+        deep = "[" * 100_000
+        path = tmp_path / "deep.json"
+        if network_file:
+            (tmp_path / "net.json").write_text(deep)
+            path.write_text(json.dumps({"network": "net.json", "locations": [{"node": 0}]}))
+        else:
+            path.write_text('{"network": ' + deep)
+        assert cli.main(["eval", "--mech", "median", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert err[0].endswith("JSON nested too deeply")
+
     def test_opt(self, two_agents_file, capsys):
         code = cli.main(["opt", "--instance", two_agents_file])
         out = capsys.readouterr().out
@@ -527,6 +553,29 @@ class TestReport:
         assert (row["instances"], row["zero_opt"]) == ("20", "8")
         assert float(row["max_ratio"]) == pytest.approx(max(ratios), rel=1e-8)
         assert float(row["mean_ratio"]) == pytest.approx(sum(ratios) / len(ratios), rel=1e-8)
+
+    @pytest.mark.parametrize("rows, fields", [
+        (["median"], 1),
+        (["median", "median,minisos,1.5"], 1),  # sorting the groups raised TypeError
+        (["median,minisos,1.5,9"], 4),
+    ])
+    def test_row_with_another_field_count_exit_2(self, tmp_path, capsys, rows, fields):
+        bad = tmp_path / "rows.csv"
+        bad.write_text("mechanism,objective,ratio\n" + "\n".join(rows) + "\n")
+        assert cli.main(["report", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}:2: malformed CSV row "
+                                f"({fields} fields, the header has 3)\n")
+
+    def test_field_over_the_csv_limit_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text("mechanism,objective,ratio\nmedian,minisos," + "1" * 200_000 + "\n")
+        assert cli.main(["report", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}:2: malformed CSV (field larger")
+        assert len(captured.err.splitlines()) == 1
 
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.csv"

@@ -413,3 +413,10 @@ class TestParse:
     def test_rejects_bad_specs(self, text):
         with pytest.raises((MechanismError, QOutOfRangeError)):
             parse_mechanism(text)
+
+    def test_nested_error_names_the_spec_once(self):
+        with pytest.raises(MechanismError) as info:
+            parse_mechanism("mix:[(mix:[(mix:[(mix:[(median,x)],1)],1)],1)]")
+        message = str(info.value)
+        assert message.count("bad mechanism spec") == 1
+        assert message.endswith("bad rational 'x'")

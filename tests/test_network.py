@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import tokenize
@@ -66,6 +68,12 @@ class TestValidate:
     def test_single_node(self):
         net = TreeNetwork(1, [])
         assert net.node_count == 1
+
+    def test_total_length_adds_left_to_right(self):
+        # From Python 3.12 on sum() compensates and would give 1 + 2**-52;
+        # the generator's stream draws along the left-to-right total.
+        net = TreeNetwork(4, [(0, 1, 1.0), (1, 2, 2.0**-53), (2, 3, 2.0**-53)])
+        assert net.total_length() == 1.0
 
 
 class TestDistanceRows:
@@ -301,8 +309,14 @@ class TestProfile:
         with pytest.raises(PointInvalidError):
             prof.replace(unit_line3, 0, Point.at_node(7))
         moved = prof.replace(unit_line3, 1, Point.at_node(1))
+        assert isinstance(moved, LocationProfile)
         assert list(moved) == [Point.at_node(0), Point.at_node(1)]
         assert list(prof) == [Point.at_node(0), Point.at_node(2)]
+
+    def test_copies_and_pickles(self, unit_line3):
+        prof = profile(unit_line3, Point.at_node(0), Point(edge=1, offset=0.25))
+        for out in (copy.copy(prof), copy.deepcopy(prof), pickle.loads(pickle.dumps(prof))):
+            assert type(out) is LocationProfile and out == prof
 
 
 class TestLineHelpers:

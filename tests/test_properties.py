@@ -258,8 +258,8 @@ def test_instances_round_trip_through_json(data):
     net = data.draw(trees())
     prof = LocationProfile(net, data.draw(mixed_points(net)))
     net2, prof2 = profile_from_json(json.loads(json.dumps(instance_to_json(net, prof))))
-    assert (net2.node_count, net2.edges, prof2.locations) == (net.node_count, net.edges,
-                                                              prof.locations)
+    assert (net2.node_count, net2.edges, tuple(prof2)) == (net.node_count, net.edges,
+                                                           tuple(prof))
     assert instance_digest(net2, prof2) == instance_digest(net, prof)
 
 
