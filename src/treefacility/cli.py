@@ -18,18 +18,12 @@ from .network import (
     BOUND_TOL,
     NetworkError,
     Point,
-    PointInvalidError,
     instance_digest,
     instance_to_json,
     profile_from_json,
     read_json,
 )
-from .objectives import (
-    DistributionInvalidError,
-    Objective,
-    WeightInvalidError,
-    optimal_location,
-)
+from .objectives import DistributionInvalidError, Objective, optimal_location
 from . import verify as V
 
 # Paper-level worst-case bounds used by search and report.
@@ -46,9 +40,8 @@ LINE_BOUNDS = {
 }
 
 USAGE_ERRORS = (
-    NetworkError, PointInvalidError, MechanismError, BadConfigError,
-    WeightInvalidError, DistributionInvalidError, V.BadParamsError,
-    V.NotDeterministicError, json.JSONDecodeError, UnicodeDecodeError, OSError,
+    NetworkError, MechanismError, BadConfigError, DistributionInvalidError, V.BadParamsError,
+    json.JSONDecodeError, UnicodeDecodeError, OSError,
 )
 
 # Misreport checks: command -> (check, what its report maximizes, help, the

@@ -15,7 +15,6 @@ from .network import LocationProfile, Point, TreeNetwork
 from .objectives import (
     LocationDistribution,
     Objective,
-    WeightInvalidError,
     deviated_medians,
     generalized_medians,
     make_distribution,
@@ -28,23 +27,8 @@ from .objectives import (
 
 
 class MechanismError(ValueError):
-    pass
-
-
-class IndexOutOfRangeError(MechanismError):
-    pass
-
-
-class QOutOfRangeError(MechanismError):
-    pass
-
-
-class NotBoomerangError(MechanismError):
-    pass
-
-
-class NeedTwoAgentsError(MechanismError):
-    pass
+    """A malformed mechanism spec, or a mechanism that cannot run on the
+    profile it is given."""
 
 
 def _sorted_agents(network, profile):
@@ -85,15 +69,13 @@ class Dictator(Mechanism):
 
     def __init__(self, i: int):
         if i < 1:
-            raise IndexOutOfRangeError(f"agent index {i} must be >= 1")
+            raise MechanismError(f"agent index {i} must be >= 1")
         self.i = i
         self.name = f"dictator:{i}"
 
     def run(self, network, profile):
         if self.i > len(profile):
-            raise IndexOutOfRangeError(
-                f"agent index {self.i} exceeds profile size {len(profile)}"
-            )
+            raise MechanismError(f"agent index {self.i} exceeds profile size {len(profile)}")
         return point_mass(profile[self.i - 1])
 
     def deviations(self, network, profile, i, points):
@@ -110,7 +92,7 @@ class KthLocation(Mechanism):
 
     def __init__(self, k):
         if k != "n" and (not isinstance(k, int) or k < 1):
-            raise IndexOutOfRangeError(f"order statistic {k!r} must be >= 1 or 'n'")
+            raise MechanismError(f"order statistic {k!r} must be >= 1 or 'n'")
         self.k = k
         self.name = f"kth:{k}"
 
@@ -119,7 +101,7 @@ class KthLocation(Mechanism):
         n = len(agents)
         k = n if self.k == "n" else self.k
         if k > n:
-            raise IndexOutOfRangeError(f"order statistic {k} exceeds profile size {n}")
+            raise MechanismError(f"order statistic {k} exceeds profile size {n}")
         return point_mass(agents[k - 1][1])
 
 
@@ -148,23 +130,21 @@ class DGM(Mechanism):
     def __init__(self, i: int, q: Fraction):
         q = Fraction(q)
         if not (Fraction(1, 2) < q <= 1):
-            raise QOutOfRangeError(f"q={q} must satisfy 1/2 < q <= 1")
+            raise MechanismError(f"q={q} must satisfy 1/2 < q <= 1")
         if i < 1:
-            raise IndexOutOfRangeError(f"agent index {i} must be >= 1")
+            raise MechanismError(f"agent index {i} must be >= 1")
         self.i = i
         self.q = q
         self.name = f"dgm:{i}:{q}"
 
     def run(self, network, profile):
         if self.i > len(profile):
-            raise IndexOutOfRangeError(
-                f"agent index {self.i} exceeds profile size {len(profile)}"
-            )
+            raise MechanismError(f"agent index {self.i} exceeds profile size {len(profile)}")
         need = math.ceil(self.q * len(profile))
         return point_mass(generalized_medians(network, profile, need, [self.i - 1])[0])
 
     def deviations(self, network, profile, i, points):
-        if self.i > len(profile):  # every run raises IndexOutOfRangeError
+        if self.i > len(profile):  # every run raises MechanismError
             return super().deviations(network, profile, i, points)
         need = math.ceil(self.q * len(profile))
         return [point_mass(y) for y, in deviated_medians(network, profile, i, points, need,
@@ -197,7 +177,7 @@ class PB(Mechanism):
     def __init__(self, members, weights):
         for m in members:
             if not isinstance(m, Mechanism) or not m.boomerang:
-                raise NotBoomerangError(
+                raise MechanismError(
                     f"{getattr(m, 'name', m)!r} is not a recognized boomerang mechanism"
                 )
         _check_weights(weights, len(members))
@@ -257,7 +237,7 @@ class RandomizedDGM(Mechanism):
     def __init__(self, q: Fraction):
         q = Fraction(q)
         if not (Fraction(1, 2) < q <= Fraction(2, 3)):
-            raise QOutOfRangeError(f"q={q} must satisfy 1/2 < q <= 2/3")
+            raise MechanismError(f"q={q} must satisfy 1/2 < q <= 2/3")
         self.q = q
         self.name = f"rdgm:{q}"
 
@@ -286,7 +266,7 @@ class ConsecutiveMidpoints(Mechanism):
         agents = _sorted_agents(network, profile)
         n = len(agents)
         if n < 2:
-            raise NeedTwoAgentsError("needs at least two agents")
+            raise MechanismError("needs at least two agents")
         pairs = [(agents[0][1], 0.5 / n), (agents[-1][1], 0.5 / n)]
         for a, b in zip(agents, agents[1:]):
             pairs.append((_midpoint(network, a, b), 1.0 / n))
@@ -301,7 +281,7 @@ class Mixture(Mechanism):
         _check_weights(probs, len(probs))
         for m, _ in components:
             if not isinstance(m, Mechanism):
-                raise WeightInvalidError("mixture components must be mechanisms")
+                raise MechanismError("mixture components must be mechanisms")
         self.components = list(components)
         self.name = "mix:[{}]".format(
             ",".join(f"({m.name},{p})" for m, p in components)

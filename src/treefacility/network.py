@@ -29,31 +29,11 @@ BOUND_TOL = 1e-6
 
 
 class NetworkError(ValueError):
-    """Base class for malformed-network errors."""
-
-
-class CyclicError(NetworkError):
-    pass
-
-
-class DisconnectedError(NetworkError):
-    pass
-
-
-class NonPositiveLengthError(NetworkError):
-    pass
-
-
-class BadNodeIdError(NetworkError):
-    pass
+    """A malformed network, point, profile or input file."""
 
 
 class NotALineError(NetworkError):
     """A line-only operation was asked of a network that is not a path."""
-
-
-class PointInvalidError(ValueError):
-    """A point does not belong to the network it is used with."""
 
 
 @dataclass(frozen=True)
@@ -120,29 +100,29 @@ class TreeNetwork:
 
     def __init__(self, node_count: int, edges):
         if not _is_int(node_count) or node_count < 1:
-            raise BadNodeIdError(f"node_count must be a positive integer, got {node_count!r}")
+            raise NetworkError(f"node_count must be a positive integer, got {node_count!r}")
         edges = tuple(_parse_edge(edge) for edge in edges)
         if len(edges) >= node_count:
-            raise CyclicError(
+            raise NetworkError(
                 f"{len(edges)} edges on {node_count} nodes: the graph contains a cycle or duplicate edge (a tree has node_count - 1 edges)"
             )
         if len(edges) < node_count - 1:
-            raise DisconnectedError(
+            raise NetworkError(
                 f"{len(edges)} edges cannot connect {node_count} nodes (a tree has node_count - 1 edges)"
             )
         seen = set()
         total = 0.0  # added left to right: sum() compensates from Python 3.12 on
         for u, v, w in edges:
             if not (0 <= u < node_count) or not (0 <= v < node_count):
-                raise BadNodeIdError(f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
+                raise NetworkError(f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
             if u == v:
-                raise CyclicError(f"self-loop at node {u}")
+                raise NetworkError(f"self-loop at node {u}")
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise CyclicError(f"duplicate edge between {u} and {v}")
+                raise NetworkError(f"duplicate edge between {u} and {v}")
             seen.add(key)
             if not (w > 0.0) or w != w or w == float("inf"):
-                raise NonPositiveLengthError(f"edge ({u}, {v}) has non-positive length {w}")
+                raise NetworkError(f"edge ({u}, {v}) has non-positive length {w}")
             total += w
         if total * total == float("inf"):
             raise NetworkError(f"total edge length {total:g} is too large: its square overflows")
@@ -166,7 +146,7 @@ class TreeNetwork:
                     parent_edge[v] = e
                     order.append(v)
         if len(order) < node_count:
-            raise DisconnectedError(f"{len(edges)} edges do not connect {node_count} nodes")
+            raise NetworkError(f"{len(edges)} edges do not connect {node_count} nodes")
         self.parent = parent
         self.parent_edge = parent_edge
         self.order = order
@@ -205,33 +185,31 @@ class TreeNetwork:
     def point_on_edge(self, edge_index: int, offset: float) -> Point:
         """Canonical point at ``offset`` from endpoint u of the given edge."""
         if not (0 <= edge_index < len(self.edges)):
-            raise PointInvalidError(f"edge index {edge_index} out of range")
+            raise NetworkError(f"edge index {edge_index} out of range")
         u, v, w = self.edges[edge_index]
         offset = float(offset)
         if offset != offset:
-            raise PointInvalidError("offset is NaN")
+            raise NetworkError("offset is NaN")
         if offset <= ENDPOINT_SNAP:
             if offset < -ENDPOINT_SNAP:
-                raise PointInvalidError(f"offset {offset} is negative")
+                raise NetworkError(f"offset {offset} is negative")
             return Point.at_node(u)
         if offset >= w - ENDPOINT_SNAP:
             if offset > w + ENDPOINT_SNAP:
-                raise PointInvalidError(f"offset {offset} exceeds edge length {w}")
+                raise NetworkError(f"offset {offset} exceeds edge length {w}")
             return Point.at_node(v)
         return Point(edge=edge_index, offset=offset)
 
     def check_point(self, p: Point) -> Point:
         if p.is_node:
             if not (0 <= p.node < self.node_count):
-                raise PointInvalidError(f"node {p.node} not in 0..{self.node_count - 1}")
+                raise NetworkError(f"node {p.node} not in 0..{self.node_count - 1}")
             return p
         if p.edge is None or not (0 <= p.edge < len(self.edges)):
-            raise PointInvalidError(f"edge index {p.edge} out of range")
+            raise NetworkError(f"edge index {p.edge} out of range")
         w = self.edges[p.edge][2]
         if not (0.0 < p.offset < w):
-            raise PointInvalidError(
-                f"offset {p.offset} not interior to edge {p.edge} of length {w}"
-            )
+            raise NetworkError(f"offset {p.offset} not interior to edge {p.edge} of length {w}")
         return p
 
     def distances_from(self, y: Point, points):
@@ -336,7 +314,7 @@ class TreeNetwork:
         """The point at the given distance from a along path(a, b)."""
         total = self.distance(a, b)
         if dist < -ROUND_TOL or dist > total + ROUND_TOL:
-            raise PointInvalidError(f"distance {dist} outside [0, {total}]")
+            raise NetworkError(f"distance {dist} outside [0, {total}]")
         pts = self.path(a, b)
         acc = 0.0
         for p, q in zip(pts, pts[1:]):
@@ -402,7 +380,7 @@ class TreeNetwork:
         if lo < hi:
             return Point.at_node(min(nodes[lo:hi]))
         if not 0 < k < len(xs):
-            raise PointInvalidError(f"coordinate {c} outside the network")
+            raise NetworkError(f"coordinate {c} outside the network")
         u, v = nodes[k - 1], nodes[k]
         e = next(e for w, e in self.adjacency[u] if w == v)
         return self.point_on_edge(e, c - coords[u] if self.edges[e][0] == u else coords[v] - c)
@@ -497,21 +475,19 @@ def point_from_json(network: TreeNetwork, doc, where="point") -> Point:
     if isinstance(doc, dict) and "node" in doc:
         i = doc["node"]
         if not _is_int(i):
-            raise PointInvalidError(f"{where}: node id {i!r} is not an integer")
+            raise NetworkError(f"{where}: node id {i!r} is not an integer")
         return network.check_point(Point.at_node(i))
     if isinstance(doc, dict) and "edge" in doc:
         e, t = doc["edge"], doc.get("offset")
         if not _is_int(e):
-            raise PointInvalidError(f"{where}: edge id {e!r} is not an integer")
+            raise NetworkError(f"{where}: edge id {e!r} is not an integer")
         if not (0 <= e < len(network.edges)):
-            raise PointInvalidError(f"{where}: edge index {e} out of range")
+            raise NetworkError(f"{where}: edge index {e} out of range")
         w = network.edges[e][2]
         if not _is_number(t) or not (0.0 < t < w):
-            raise PointInvalidError(
-                f"{where}: offset {t!r} must lie strictly inside (0, {w})"
-            )
+            raise NetworkError(f"{where}: offset {t!r} must lie strictly inside (0, {w})")
         return network.point_on_edge(e, t)
-    raise PointInvalidError(f"{where}: expected {{'node': id}} or {{'edge': e, 'offset': t}}")
+    raise NetworkError(f"{where}: expected {{'node': id}} or {{'edge': e, 'offset': t}}")
 
 
 def profile_from_json(doc, base_dir=".") -> tuple[TreeNetwork, LocationProfile]:

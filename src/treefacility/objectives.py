@@ -30,15 +30,8 @@ from .network import (
 
 
 class DistributionInvalidError(ValueError):
-    pass
-
-
-class WeightInvalidError(ValueError):
-    pass
-
-
-class EmptyInputError(ValueError):
-    pass
+    """Bad probabilities or weights: negative, not summing to 1, the wrong
+    count, or none at all."""
 
 
 class CostOverflowError(NetworkError):
@@ -137,12 +130,12 @@ def expected_agent_cost(network: TreeNetwork, dist: LocationDistribution,
 
 def _check_weights(weights, m):
     if len(weights) != m:
-        raise WeightInvalidError(f"{len(weights)} weights for {m} locations")
+        raise DistributionInvalidError(f"{len(weights)} weights for {m} locations")
     if any(w < -ROUND_TOL for w in weights):
-        raise WeightInvalidError("weights must be nonnegative")
+        raise DistributionInvalidError("weights must be nonnegative")
     total = sum(weights)
     if abs(total - 1.0) > ROUND_TOL:
-        raise WeightInvalidError(f"weights sum to {total}, expected 1")
+        raise DistributionInvalidError(f"weights sum to {total}, expected 1")
 
 
 def _minisos_point(network, locations, weights):
@@ -216,7 +209,7 @@ def weighted_average(network: TreeNetwork, locations, weights) -> Point:
     """The unique point minimizing the weighted sum of squared distances."""
     locations = [network.check_point(p) for p in locations]
     if not locations:
-        raise EmptyInputError("weighted_average needs at least one location")
+        raise DistributionInvalidError("weighted_average needs at least one location")
     _check_weights(weights, len(locations))
     if len(locations) == 1:
         return locations[0]

@@ -6,7 +6,7 @@ structural cost identities.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .generators import EDGE_LENGTHS, GeneratorConfig, generate, random_point
 from .mechanisms import Mechanism
@@ -32,16 +32,10 @@ HILL_ITERATIONS = 200  # local-search moves after the random phase of ratio_sear
 DEVIATION_GRID = 16  # divisions per edge of the misreport grid
 
 
-class NotDeterministicError(ValueError):
-    pass
-
-
 class BadParamsError(ValueError):
-    pass
-
-
-class HypothesisViolatedError(ValueError):
-    pass
+    """Bad check parameters: a budget, tolerance or witness kind out of
+    range, a randomized mechanism where a deterministic one is needed, or an
+    instance that breaks an identity's hypotheses."""
 
 
 # -- deviation sets ---------------------------------------------------------
@@ -82,12 +76,11 @@ class SPReport:
     max_regret: float
     worst_case: tuple | None  # (agent, misreport, true cost, deviated cost)
     tested_count: int
+    tolerance: float = SP_TOL
 
     @property
     def holds(self):
         return self.max_regret <= self.tolerance
-
-    tolerance: float = SP_TOL
 
 
 def sp_check(mechanism: Mechanism, network: TreeNetwork,
@@ -124,7 +117,7 @@ class BoomerangReport:
 
 def _the_point(mechanism, dist) -> Point:
     if not dist.is_point_mass():
-        raise NotDeterministicError(f"{mechanism.name} output has support > 1")
+        raise BadParamsError(f"{mechanism.name} output has support > 1")
     return dist.the_point()
 
 
@@ -229,10 +222,10 @@ class IdentityReport:
     lhs: float
     rhs: float
     gap: float  # lhs - rhs for the movement bound, |lhs - rhs| for the identities
-    holds: bool = field(init=False)
 
-    def __post_init__(self):
-        self.holds = self.gap <= ROUND_TOL
+    @property
+    def holds(self):
+        return self.gap <= ROUND_TOL
 
 
 def check_wavg_movement(network, locations, moved, weights) -> IdentityReport:
@@ -250,7 +243,7 @@ def _branch_toward(network, p: Point, q: Point):
     """The branch of T(G, p) containing q."""
     b = network.branch_of(p, q)
     if b is None:
-        raise HypothesisViolatedError("the two anchor locations coincide")
+        raise BadParamsError("the two anchor locations coincide")
     return b
 
 
@@ -283,7 +276,7 @@ def check_flattening(network, profile, a: Point, b: Point) -> IdentityReport:
     beyond = [i for i, x in enumerate(profile)
               if network.branch_of(b, x) not in (None, t_a)]
     if not beyond:
-        raise HypothesisViolatedError("no agents beyond the far anchor")
+        raise BadParamsError("no agents beyond the far anchor")
     far = max(beyond, key=lambda i: network.distance(b, profile[i]))
     xj = profile[far]
     new_locs = list(profile)
@@ -343,7 +336,7 @@ def make_two_anchor_instance(rng):
         t_a = network.branch_of(b, a)
         if opt_pt != b and network.branch_of(b, opt_pt) != t_a:
             return network, profile, a, b
-    raise HypothesisViolatedError("could not construct a compliant instance")
+    raise BadParamsError("could not construct a compliant instance")
 
 
 def lemma_identity_check(kind: str, rng: random.Random) -> IdentityReport:

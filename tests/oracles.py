@@ -7,8 +7,8 @@ from treefacility.network import (
     ROUND_TOL,
     SP_TOL,
     LocationProfile,
+    NetworkError,
     Point,
-    PointInvalidError,
     TreeNetwork,
     subdivide,
 )
@@ -175,7 +175,7 @@ def scan_point_at_coordinate(network: TreeNetwork, c: float) -> Point:
         if lo < c < hi:
             off = c - coords[u] if coords[u] < coords[v] else coords[u] - c
             return network.point_on_edge(e, off)
-    raise PointInvalidError(f"coordinate {c} outside the network")
+    raise NetworkError(f"coordinate {c} outside the network")
 
 
 def branches_at(network: TreeNetwork, p: Point):

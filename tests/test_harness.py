@@ -1,8 +1,12 @@
 import csv
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import treefacility
 from treefacility import cli
 from treefacility.generators import (
     BadConfigError,
@@ -377,6 +381,16 @@ class TestCLI:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "support" in err
+
+    def test_every_package_error_is_a_usage_error(self):
+        """Every exception class the package defines is caught by main, which
+        exits 2 with one error: line instead of a traceback."""
+        classes = {cls for info in pkgutil.iter_modules(treefacility.__path__)
+                   for _, cls in inspect.getmembers(
+                       importlib.import_module(f"treefacility.{info.name}"), inspect.isclass)
+                   if issubclass(cls, Exception) and cls.__module__.startswith("treefacility.")}
+        assert classes
+        assert sorted(cls.__name__ for cls in classes if not issubclass(cls, cli.USAGE_ERRORS)) == []
 
     @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])

@@ -7,7 +7,6 @@ from treefacility.network import LocationProfile, Point
 from treefacility.objectives import (
     DistributionInvalidError,
     Objective,
-    WeightInvalidError,
     expected_agent_cost,
     expected_social_cost,
     make_distribution,
@@ -125,9 +124,9 @@ class TestWeightedAverage:
         assert unit_line3.coordinate_of(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_validation(self, unit_line3):
-        with pytest.raises(WeightInvalidError):
+        with pytest.raises(DistributionInvalidError, match="weights sum to 0.7, expected 1"):
             weighted_average(unit_line3, [Point.at_node(0)], [0.7])
-        with pytest.raises(WeightInvalidError):
+        with pytest.raises(DistributionInvalidError, match="weights must be nonnegative"):
             weighted_average(unit_line3, [Point.at_node(0), Point.at_node(1)], [1.5, -0.5])
 
     def test_condition_fails_off_optimum(self, unit_line3):

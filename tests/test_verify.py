@@ -20,7 +20,6 @@ from treefacility.objectives import Objective, optimal_location
 from treefacility.verify import (
     BadParamsError,
     CSV_HEADER,
-    NotDeterministicError,
     approx_ratio,
     boomerang_check,
     csv_row,
@@ -115,7 +114,7 @@ class TestBoomerangCheck:
 
     def test_rejects_randomized(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
-        with pytest.raises(NotDeterministicError):
+        with pytest.raises(BadParamsError, match="rd output has support > 1"):
             boomerang_check(RandomDictator(), unit_line3, prof)
 
 
