@@ -121,8 +121,8 @@ class TreeNetwork:
             if key in seen:
                 raise NetworkError(f"duplicate edge between {u} and {v}")
             seen.add(key)
-            if not (w > 0.0) or w != w or w == float("inf"):
-                raise NetworkError(f"edge ({u}, {v}) has non-positive length {w}")
+            if not 0.0 < w < float("inf"):
+                raise NetworkError(f"edge ({u}, {v}) has length {w}: a length must be finite and positive")
             total += w
         if total * total == float("inf"):
             raise NetworkError(f"total edge length {total:g} is too large: its square overflows")

@@ -354,32 +354,22 @@ def lemma_identity_check(kind: str, rng: random.Random) -> IdentityReport:
 
 # -- lower-bound witness profiles -------------------------------------------
 
-
-def _two_clusters(k: int, n: int, meta):
-    """n/2 agents at each end of a line of k unit edges."""
-    network = TreeNetwork(k + 1, [(i, i + 1, 1.0) for i in range(k)])
-    profile = LocationProfile(
-        network, [Point.at_node(0)] * (n // 2) + [Point.at_node(k)] * (n // 2)
-    )
-    return network, profile, meta
+# Witness kind -> unit edges on its line.
+WITNESS_EDGES = {"deterministic_2": 2, "randomized_15_family": 4}
 
 
-def lower_bound_witness(kind: str, n: int = 4, j: int | None = None):
-    """Witness profiles from the tightness arguments, for inspection and for
-    feeding the ratio checker; ``j`` in 0..2 picks one member of the
-    randomized family.  No proof reasoning happens here."""
+def lower_bound_witness(kind: str, n: int = 4):
+    """The (network, profile) from a tightness argument: n/2 agents at each end
+    of a line of ``WITNESS_EDGES[kind]`` unit edges.  No proof reasoning
+    happens here."""
     if n < 2 or n % 2:
         raise BadParamsError(f"{kind} needs an even n >= 2")
-    if kind == "deterministic_2":
-        if j is not None:
-            raise BadParamsError("deterministic_2 takes no j")
-        return [_two_clusters(2, n, {"coords": [0.0, 2.0]})]
-    if kind == "randomized_15_family":
-        if j not in (None, 0, 1, 2):
-            raise BadParamsError(f"randomized_15_family has members j = 0, 1, 2, not {j}")
-        return [_two_clusters(4, n, {"coords": [0.0 - m, 4.0 - m], "j": m})
-                for m in ([0, 1, 2] if j is None else [j])]
-    raise BadParamsError(f"unknown witness kind {kind!r}")
+    k = WITNESS_EDGES.get(kind)
+    if k is None:
+        raise BadParamsError(f"unknown witness kind {kind!r}")
+    network = TreeNetwork(k + 1, [(i, i + 1, 1.0) for i in range(k)])
+    return network, LocationProfile(
+        network, [Point.at_node(0)] * (n // 2) + [Point.at_node(k)] * (n // 2))
 
 
 # -- CSV rows ---------------------------------------------------------------

@@ -100,7 +100,7 @@ class TestAcceptance:
             rep = approx_ratio(mech, net, prof)
             if rep.ratio is not None:
                 worst = max(worst, rep.ratio)
-        [(wnet, wprof, _)] = lower_bound_witness("deterministic_2", n=6)
+        wnet, wprof = lower_bound_witness("deterministic_2", n=6)
         wit = approx_ratio(mech, wnet, wprof)
         report(3, worst <= 2.0 + 1e-9 and abs(wit.ratio - 2.0) <= 1e-9,
                f"median line ratio max {worst:.9f}, witness ratio {wit.ratio:.9f}",
@@ -250,10 +250,8 @@ class TestAcceptance:
             rep = approx_ratio(mech, net, prof, Objective.MINIMAX)
             if rep.ratio is not None:
                 worst = max(worst, rep.ratio)
-        net, resolve = line_with_coordinates([0.0, 4.0],
-                                             extra_nodes=[1.0, 2.0, 3.0])
-        prof = LocationProfile(net, [resolve(0.0), resolve(4.0)])
-        wit = approx_ratio(mech, net, prof, Objective.MINIMAX)
+        wit = approx_ratio(mech, *lower_bound_witness("randomized_15_family", n=2),
+                           Objective.MINIMAX)
         report(11, worst <= 1.5 + 1e-9 and abs(wit.ratio - 1.5) <= 1e-9,
                f"lrm minimax max ratio {worst:.9f} on 500 line profiles, "
                f"witness ratio {wit.ratio:.9f}",

@@ -410,6 +410,19 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: total edge length")
 
+    @pytest.mark.parametrize("length", ["Infinity", "NaN"])
+    def test_infinite_or_nan_length_exit_2(self, tmp_path, capsys, length):
+        # json.load accepts these two non-standard literals.
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"network": {"nodes": 2, "edges": [[0, 1, %s]]}, '
+                        '"locations": [{"node": 0}]}' % length)
+        code = cli.main(["eval", "--mech", "median", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        value = {"Infinity": "inf", "NaN": "nan"}[length]
+        assert captured.err == f"error: edge (0, 1) has length {value}: a length must be finite and positive\n"
+
     @staticmethod
     def overflowing_cost_file(tmp_path):
         # The length squared is finite, but two agents at one end put
@@ -469,24 +482,35 @@ class TestCLI:
 
     def test_witness(self, capsys):
         code = cli.main(["witness", "--kind", "deterministic_2", "--n", "4"])
-        out = capsys.readouterr().out
+        [line] = capsys.readouterr().out.splitlines()
         assert code == 0
-        doc = json.loads(out.splitlines()[0])
+        doc = json.loads(line)
+        assert sorted(doc) == ["locations", "network"]
         assert len(doc["locations"]) == 4
-
-    def test_witness_j_picks_one_member_of_the_randomized_family(self, capsys):
-        code = cli.main(["witness", "--kind", "randomized_15_family", "--j", "2"])
-        [line] = capsys.readouterr().out.splitlines()
-        assert code == 0 and json.loads(line)["meta"]["j"] == 2
-        code = cli.main(["witness", "--kind", "randomized_15_family", "--j", "0"])
-        [line] = capsys.readouterr().out.splitlines()
-        assert code == 0 and '"coords": [0.0, 4.0], "j": 0' in line
-        for argv in (["deterministic_2", "--j", "3"], ["randomized_15_family", "--j", "7"]):
-            code = cli.main(["witness", "--kind", *argv])
+        for kind in ("deterministic_2", "randomized_15_family"):
+            code = cli.main(["witness", "--kind", kind, "--n", "3"])
             captured = capsys.readouterr()
             assert code == 2
-            assert captured.out == "" and captured.err.startswith("error:")
-            assert len(captured.err.splitlines()) == 1
+            assert captured.out == "" and captured.err == f"error: {kind} needs an even n >= 2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--kind", "randomized_15_family", "--n", "6"],
+        ["witness", "--kind", "randomized_15_family", "--n", "6", "--out"],
+        ["sp-check", "--mech", "median", "--budget", "3", "--out"],
+        ["boomerang-check", "--mech", "kth:1", "--budget", "3", "--topology", "line", "--out"],
+        ["search", "--mech", "median", "--budget", "5", "--out"],
+        ["generate", "--budget", "1", "--out"],
+    ], ids=["witness-stdout", "witness", "sp-check", "boomerang-check", "search", "generate"])
+    def test_every_written_instance_is_read_by_eval(self, tmp_path, capsys, argv):
+        path = tmp_path / "instance.json"
+        if argv[-1] == "--out":
+            assert cli.main([*argv, str(path)]) == 0
+        else:
+            assert cli.main(argv) == 0
+            path.write_text(capsys.readouterr().out)
+        capsys.readouterr()
+        assert cli.main(["eval", "--mech", "median", "--instance", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_generate_jsonl(self, tmp_path):
         out = tmp_path / "inst.jsonl"

@@ -55,10 +55,10 @@ class TestValidate:
             TreeNetwork(4, [(0, 1, 1), (0, 1, 2), (2, 3, 1)])
 
     def test_nonpositive_length(self):
-        with pytest.raises(NetworkError, match="non-positive length 0.0"):
-            TreeNetwork(2, [(0, 1, 0.0)])
-        with pytest.raises(NetworkError, match="non-positive length -3.0"):
-            TreeNetwork(2, [(0, 1, -3.0)])
+        for w in (0.0, -3.0, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(NetworkError, match=re.escape(
+                    f"edge (0, 1) has length {w}: a length must be finite and positive")):
+                TreeNetwork(2, [(0, 1, w)])
 
     def test_bad_node_id(self):
         with pytest.raises(NetworkError, match=r"edge \(0, 5\) references a node outside 0..1"):

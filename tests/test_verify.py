@@ -160,8 +160,7 @@ class TestApproxRatio:
         assert rep.exact_zero
 
     def test_minimax_objective(self):
-        net, resolve = line_with_coordinates([0.0, 4.0], extra_nodes=[1.0, 2.0, 3.0])
-        prof = LocationProfile(net, [resolve(0.0), resolve(4.0)])
+        net, prof = lower_bound_witness("randomized_15_family", n=2)
         rep = approx_ratio(LRM(), net, prof, Objective.MINIMAX)
         assert rep.ratio == pytest.approx(1.5, abs=1e-12)
 
@@ -273,30 +272,35 @@ class TestSinglePath:
 
 
 class TestWitnesses:
+    @staticmethod
+    def unit_line(k):
+        return {"nodes": k + 1, "edges": [[i, i + 1, 1.0] for i in range(k)]}
+
     def test_deterministic_witness_ratio_two(self):
-        [(net, prof, meta)] = lower_bound_witness("deterministic_2", n=4)
+        net, prof = lower_bound_witness("deterministic_2", n=4)
         rep = approx_ratio(TreeMedian(), net, prof)
         assert rep.ratio == pytest.approx(2.0, abs=1e-9)
-        assert meta["coords"] == [0.0, 2.0]
+        assert net.to_json() == self.unit_line(2)
 
     def test_randomized_family_shape(self):
-        fam = lower_bound_witness("randomized_15_family", n=4)
-        assert len(fam) == 3
-        assert [meta["j"] for _, _, meta in fam] == [0, 1, 2]
-        for net, prof, meta in fam:
-            left, right = meta["coords"]
-            assert right - left == pytest.approx(4.0)
-            assert len(prof) == 4
+        net, prof = lower_bound_witness("randomized_15_family", n=4)
+        assert net.to_json() == self.unit_line(4)
+        assert list(prof) == [Point.at_node(0)] * 2 + [Point.at_node(4)] * 2
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_ratios_are_exactly_tight(self, n):
+        """Every cost here is a sum of small integer squares, so the ratios are
+        exact: 1.5 for half-avg-rd (miniSOS) and lrm (minimax) on the 4-unit
+        line, 2 for the median (miniSOS) on the 2-unit line."""
+        witness = lower_bound_witness("randomized_15_family", n=n)
+        assert approx_ratio(HalfAvgHalfRD(), *witness).ratio == 1.5
+        assert approx_ratio(LRM(), *witness, Objective.MINIMAX).ratio == 1.5
+        assert approx_ratio(TreeMedian(), *lower_bound_witness("deterministic_2", n=n)).ratio == 2.0
 
     def test_bad_params(self):
-        with pytest.raises(BadParamsError):
+        with pytest.raises(BadParamsError, match="deterministic_2 needs an even n >= 2"):
             lower_bound_witness("deterministic_2", n=3)
-        with pytest.raises(BadParamsError):
-            lower_bound_witness("deterministic_2", j=3)
-        for j in (-1, 3, 7):
-            with pytest.raises(BadParamsError):
-                lower_bound_witness("randomized_15_family", j=j)
-        with pytest.raises(BadParamsError):
+        with pytest.raises(BadParamsError, match="unknown witness kind 'unknown'"):
             lower_bound_witness("unknown")
 
 
