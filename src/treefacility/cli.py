@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from .generators import BadConfigError, GeneratorConfig, generate
+from .generators import PLACEMENTS, TOPOLOGIES, BadConfigError, GeneratorConfig, generate
 from .mechanisms import MechanismError, parse_mechanism
 from .network import (
     BOUND_TOL,
@@ -77,17 +77,31 @@ def _generator_config(args):
 
 
 def _add_generator_args(p):
-    p.add_argument("--topology", default="random_tree",
-                   choices=["line", "star", "caterpillar", "random_tree"])
+    p.add_argument("--topology", default=GeneratorConfig.topology, choices=TOPOLOGIES)
     p.add_argument("--min-nodes", type=int, default=2)
     p.add_argument("--max-nodes", type=int, default=12)
     p.add_argument("--min-agents", type=int, default=2)
     p.add_argument("--max-agents", type=int, default=6)
-    p.add_argument("--placement", default="anywhere",
-                   choices=["anywhere", "nodes_only"])
+    p.add_argument("--placement", default=GeneratorConfig.placement, choices=PLACEMENTS)
 
 
-def _write_csv(path, rows, header=V.CSV_HEADER):
+# The columns `ratio` writes; `_read_ratios` reads them back by name.
+CSV_HEADER = [
+    "instance_digest", "mechanism", "objective",
+    "mech_cost", "opt_cost", "ratio", "seed",
+]
+
+
+def csv_row(digest, report: V.RatioReport, mechanism_name, objective, seed):
+    return [
+        digest, mechanism_name, objective.value,
+        f"{report.mechanism_cost:.12g}", f"{report.optimal_cost:.12g}",
+        "" if report.ratio is None else f"{report.ratio:.12g}",
+        str(seed),
+    ]
+
+
+def _write_csv(path, rows, header=CSV_HEADER):
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
     try:
         w = csv.writer(out)
@@ -142,8 +156,7 @@ def build_parser():
     _add_generator_args(p)
 
     p = sub.add_parser("lemma-check", help="structural identity checks")
-    p.add_argument("--kind", required=True,
-                   choices=["cost_difference", "flattening", "wavg_movement"])
+    p.add_argument("--kind", required=True, choices=list(V.IDENTITY_CHECKS))
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
@@ -232,8 +245,8 @@ def cmd_ratio(args):
     rows = []
     for network, profile in _instances(args):
         rep = V.approx_ratio(mech, network, profile, objective)
-        rows.append(V.csv_row(instance_digest(network, profile), rep, mech.name, objective,
-                              args.seed))
+        rows.append(csv_row(instance_digest(network, profile), rep, mech.name, objective,
+                            args.seed))
     _write_csv(args.out, rows)
     return 0
 
@@ -241,8 +254,7 @@ def cmd_ratio(args):
 def cmd_search(args):
     mech = parse_mechanism(args.mech)
     objective = Objective.parse(args.objective)
-    result = V.ratio_search(mech, objective, _generator_config(args),
-                            args.budget, args.seed)
+    result = V.ratio_search(mech, objective, _generator_config(args), args.budget)
     if result is None:
         print("no instance with a nonzero optimum found")
         return 1

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .network import LocationProfile, Point, TreeNetwork
 
 
 # Every generated edge length is drawn uniformly from this range.
 EDGE_LENGTHS = (0.5, 2.0)
+TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
+PLACEMENTS = ("anywhere", "nodes_only")
 
 
 class BadConfigError(ValueError):
@@ -18,26 +20,23 @@ class BadConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    topology: str = "random_tree"  # line | star | caterpillar | random_tree
+    topology: str = "random_tree"  # one of TOPOLOGIES
     min_nodes: int = 2
     max_nodes: int = 10
     min_agents: int = 2
     max_agents: int = 6
-    placement: str = "anywhere"  # anywhere | nodes_only
+    placement: str = "anywhere"  # one of PLACEMENTS
     seed: int = 0
 
     def __post_init__(self):
-        if self.topology not in ("line", "star", "caterpillar", "random_tree"):
+        if self.topology not in TOPOLOGIES:
             raise BadConfigError(f"unknown topology {self.topology!r}")
-        if self.placement not in ("anywhere", "nodes_only"):
+        if self.placement not in PLACEMENTS:
             raise BadConfigError(f"unknown placement {self.placement!r}")
         if self.min_nodes < 1 or self.max_nodes < self.min_nodes:
             raise BadConfigError("bad node count range")
         if self.min_agents < 1 or self.max_agents < self.min_agents:
             raise BadConfigError("bad agent count range")
-
-    def with_seed(self, seed: int) -> "GeneratorConfig":
-        return replace(self, seed=seed)
 
 
 def _make_network(rng, config) -> TreeNetwork:

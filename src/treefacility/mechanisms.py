@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .network import LocationProfile, Point, TreeNetwork
+from .network import LocationProfile, TreeNetwork
 from .objectives import (
     LocationDistribution,
     Objective,
@@ -55,10 +55,6 @@ class Mechanism:
     def deviations(self, network, profile, i, points):
         """The outputs with agent i at each of ``points``, one run per point."""
         return [self.run(network, profile.replace(network, i, p)) for p in points]
-
-    def point(self, network, profile) -> Point:
-        """Output location of a deterministic mechanism."""
-        return self.run(network, profile).the_point()
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -189,7 +185,7 @@ class PB(Mechanism):
         )
 
     def run(self, network, profile):
-        ys = [m.point(network, profile) for m in self.members]
+        ys = [m.run(network, profile).the_point() for m in self.members]
         return _compose(network, ys, self.weights)
 
     def deviations(self, network, profile, i, points):

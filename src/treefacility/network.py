@@ -58,11 +58,6 @@ class Point:
     def at_node(i: int) -> "Point":
         return Point(node=i)
 
-    def __repr__(self):
-        if self.is_node:
-            return f"Point(node={self.node})"
-        return f"Point(edge={self.edge}, offset={self.offset:.6g})"
-
     def to_json(self):
         if self.is_node:
             return {"node": self.node}
@@ -89,7 +84,10 @@ def _parse_edge(edge):
     if not (isinstance(edge, (list, tuple)) and len(edge) == 3
             and _is_int(edge[0]) and _is_int(edge[1]) and _is_number(edge[2])):
         raise NetworkError(f"edge {edge!r} must be [u, v, length] with integer ends and a numeric length")
-    return edge[0], edge[1], float(edge[2])
+    try:
+        return edge[0], edge[1], float(edge[2])
+    except OverflowError:  # an integer length past the largest float
+        raise NetworkError(f"edge ({edge[0]}, {edge[1]}) has a length too large for a float") from None
 
 
 class TreeNetwork:
@@ -455,10 +453,18 @@ def subdivide(network: TreeNetwork, anchors):
 
 def read_json(path):
     """The JSON document in the file at path.  A document nested deeper
-    than the decoder's stack is a NetworkError, not a RecursionError."""
+    than the decoder's stack, or an integer longer than int() reads (4300
+    digits from Python 3.11 on), is a NetworkError."""
+
+    def parse_int(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise NetworkError(f"{path}: an integer of {len(text)} characters is too long") from None
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise NetworkError(f"{path}: JSON nested too deeply") from None
 

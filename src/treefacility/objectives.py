@@ -30,8 +30,8 @@ from .network import (
 
 
 class DistributionInvalidError(ValueError):
-    """Bad probabilities or weights: negative, not summing to 1, the wrong
-    count, or none at all."""
+    """Bad probabilities or weights: negative or NaN, not summing to 1, the
+    wrong count, or none at all."""
 
 
 class CostOverflowError(NetworkError):
@@ -62,11 +62,8 @@ class LocationDistribution(tuple):
     def points(self):
         return [p for p, _ in self]
 
-    def is_point_mass(self) -> bool:
-        return len(self) == 1
-
     def the_point(self) -> Point:
-        if not self.is_point_mass():
+        if len(self) != 1:
             raise DistributionInvalidError("distribution is not a point mass")
         return self[0][0]
 
@@ -78,8 +75,8 @@ def make_distribution(pairs) -> LocationDistribution:
     """Merge duplicate points, validate probabilities, fix support order."""
     merged: dict[Point, float] = {}
     for p, prob in pairs:
-        if prob < -ROUND_TOL:
-            raise DistributionInvalidError(f"negative probability {prob} at {p}")
+        if not prob >= -ROUND_TOL:  # NaN fails every comparison
+            raise DistributionInvalidError(f"probability {prob} at {p} is not a number >= 0")
         merged[p] = merged.get(p, 0.0) + prob
     merged = {p: q for p, q in merged.items() if q > 0.0}
     if not merged:
@@ -131,8 +128,8 @@ def expected_agent_cost(network: TreeNetwork, dist: LocationDistribution,
 def _check_weights(weights, m):
     if len(weights) != m:
         raise DistributionInvalidError(f"{len(weights)} weights for {m} locations")
-    if any(w < -ROUND_TOL for w in weights):
-        raise DistributionInvalidError("weights must be nonnegative")
+    if not all(w >= -ROUND_TOL for w in weights):  # NaN fails every comparison
+        raise DistributionInvalidError("weights must be nonnegative numbers")
     total = sum(weights)
     if abs(total - 1.0) > ROUND_TOL:
         raise DistributionInvalidError(f"weights sum to {total}, expected 1")
@@ -148,8 +145,6 @@ def _minisos_point(network, locations, weights):
     branch with 2M > T and stops on the first edge whose vertex falls short
     of its far end, or at the node where no branch qualifies.
     """
-    if not network.edges:
-        return Point.at_node(0)
     edges, parent, parent_edge = network.edges, network.parent, network.parent_edge
     total = sum(weights)
     W = [0.0] * network.node_count  # weight at or below each node

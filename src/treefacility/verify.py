@@ -116,7 +116,7 @@ class BoomerangReport:
 
 
 def _the_point(mechanism, dist) -> Point:
-    if not dist.is_point_mass():
+    if len(dist) != 1:
         raise BadParamsError(f"{mechanism.name} output has support > 1")
     return dist.the_point()
 
@@ -181,16 +181,16 @@ def _perturb_point(rng, network, point, step) -> Point:
 
 
 def ratio_search(mechanism: Mechanism, objective: Objective,
-                 config: GeneratorConfig, budget: int, seed: int):
+                 config: GeneratorConfig, budget: int):
     """Worst approximation ratio over random instances plus local search.
 
-    Deterministic given the seed.  Returns (RatioReport, network, profile)
+    Deterministic given config.seed.  Returns (RatioReport, network, profile)
     for the worst instance found; zero-optimum instances are skipped.
     """
     if budget < 1:
         raise BadParamsError("budget must be >= 1")
     worst = None
-    for network, profile in generate(config.with_seed(seed), budget):
+    for network, profile in generate(config, budget):
         rep = approx_ratio(mechanism, network, profile, objective)
         if rep.ratio is None:
             continue
@@ -199,7 +199,7 @@ def ratio_search(mechanism: Mechanism, objective: Objective,
     if worst is None:
         return None
     rep, network, profile = worst
-    rng = random.Random(seed ^ 0x9E3779B9)
+    rng = random.Random(config.seed ^ 0x9E3779B9)
     step = max(w for _, _, w in network.edges) / 4 if network.edges else 0.0
     for _ in range(HILL_ITERATIONS):
         if step <= ENDPOINT_SNAP:
@@ -339,17 +339,20 @@ def make_two_anchor_instance(rng):
     raise BadParamsError("could not construct a compliant instance")
 
 
+# Identity kind -> (check, maker of an instance that meets its hypotheses).
+IDENTITY_CHECKS = {
+    "cost_difference": (check_cost_difference, make_two_anchor_instance),
+    "flattening": (check_flattening, make_two_anchor_instance),
+    "wavg_movement": (check_wavg_movement, make_movement_instance),
+}
+
+
 def lemma_identity_check(kind: str, rng: random.Random) -> IdentityReport:
     """Generate a compliant instance and check the named identity on it."""
-    if kind == "wavg_movement":
-        return check_wavg_movement(*make_movement_instance(rng))
-    if kind == "cost_difference":
-        network, profile, a, b = make_two_anchor_instance(rng)
-        return check_cost_difference(network, profile, a, b)
-    if kind == "flattening":
-        network, profile, a, b = make_two_anchor_instance(rng)
-        return check_flattening(network, profile, a, b)
-    raise BadParamsError(f"unknown identity kind {kind!r}")
+    if kind not in IDENTITY_CHECKS:
+        raise BadParamsError(f"unknown identity kind {kind!r}")
+    check, make_instance = IDENTITY_CHECKS[kind]
+    return check(*make_instance(rng))
 
 
 # -- lower-bound witness profiles -------------------------------------------
@@ -371,19 +374,3 @@ def lower_bound_witness(kind: str, n: int = 4):
     return network, LocationProfile(
         network, [Point.at_node(0)] * (n // 2) + [Point.at_node(k)] * (n // 2))
 
-
-# -- CSV rows ---------------------------------------------------------------
-
-CSV_HEADER = [
-    "instance_digest", "mechanism", "objective",
-    "mech_cost", "opt_cost", "ratio", "seed",
-]
-
-
-def csv_row(digest, report: RatioReport, mechanism_name, objective, seed):
-    return [
-        digest, mechanism_name, objective.value,
-        f"{report.mechanism_cost:.12g}", f"{report.optimal_cost:.12g}",
-        "" if report.ratio is None else f"{report.ratio:.12g}",
-        str(seed),
-    ]

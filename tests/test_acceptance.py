@@ -6,6 +6,7 @@ the stated tolerance and runtime budget.
 
 import time
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -56,7 +57,7 @@ def report(criterion, ok, detail, elapsed, budget):
 
 
 def line_profiles(count, seed):
-    yield from generate(LINE_CFG.with_seed(seed), count)
+    yield from generate(replace(LINE_CFG, seed=seed), count)
 
 
 class TestAcceptance:
@@ -108,16 +109,16 @@ class TestAcceptance:
 
     def test_04_median_at_most_two_on_trees_search(self):
         t0 = time.perf_counter()
-        rep, _, _ = ratio_search(TreeMedian(), Objective.MINISOS, TREE_CFG,
-                                 budget=2000, seed=104)
+        rep, _, _ = ratio_search(TreeMedian(), Objective.MINISOS,
+                                 replace(TREE_CFG, seed=104), budget=2000)
         report(4, rep.ratio <= 2.0 + 1e-6,
                f"median tree search worst ratio {rep.ratio:.9f} over 2000 instances",
                time.perf_counter() - t0, 60.0)
 
     def test_05_randomized_dgm_bound_on_trees_search(self):
         t0 = time.perf_counter()
-        rep, _, _ = ratio_search(RandomizedDGM(Q23), Objective.MINISOS, TREE_CFG,
-                                 budget=2000, seed=105)
+        rep, _, _ = ratio_search(RandomizedDGM(Q23), Objective.MINISOS,
+                                 replace(TREE_CFG, seed=105), budget=2000)
         report(5, rep.ratio <= 1.83 + 1e-6,
                f"rdgm(2/3) tree search worst ratio {rep.ratio:.9f} over 2000 instances"
                " (bound 1.83, analysis suggests the supremum is near 1.82)",
@@ -138,7 +139,7 @@ class TestAcceptance:
                 mech = parse_mechanism(spec)
                 regret = 0.0
                 seed = zlib.crc32(spec.encode()) & 0xFFFF
-                for net, prof in generate(cfg.with_seed(seed), 200):
+                for net, prof in generate(replace(cfg, seed=seed), 200):
                     regret = max(regret, sp_check(mech, net, prof).max_regret)
                 worst[spec, cfg.topology] = regret
         net, resolve = line_with_coordinates([-2.0, 2.0], extra_nodes=[0.0])
@@ -165,7 +166,7 @@ class TestAcceptance:
         ]
         worst = 0.0
         for mech, cfg in cases:
-            for net, prof in generate(cfg.with_seed(107), 200):
+            for net, prof in generate(replace(cfg, seed=107), 200):
                 worst = max(worst, boomerang_check(mech, net, prof).max_violation)
         net, resolve = line_with_coordinates([0.0, 4.0], extra_nodes=[1.0, 2.0, 3.0])
         prof = LocationProfile(net, [resolve(0.0), resolve(2.0)])

@@ -3,6 +3,10 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -97,7 +101,7 @@ class TestGenerator:
     def test_different_seeds_differ(self):
         cfg = GeneratorConfig(max_nodes=10, seed=1)
         a = [instance_digest(n, p) for n, p in generate(cfg, 5)]
-        b = [instance_digest(n, p) for n, p in generate(cfg.with_seed(2), 5)]
+        b = [instance_digest(n, p) for n, p in generate(replace(cfg, seed=2), 5)]
         assert a != b
 
     def test_line_topology_is_line(self):
@@ -265,6 +269,54 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert err[0].endswith("JSON nested too deeply")
+
+    def test_integer_length_past_the_largest_float_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"network": {"nodes": 2, "edges": [[0, 1, %s]]}, '
+                        '"locations": [{"node": 0}]}' % ("9" * 401))
+        assert cli.main(["eval", "--mech", "median", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: edge (0, 1) has a length too large for a float\n"
+
+    @pytest.mark.parametrize("network_file", [False, True])
+    def test_integer_past_the_digit_limit_exit_2(self, tmp_path, capsys, network_file):
+        # From Python 3.11 on, int() reads at most 4300 digits; on older
+        # interpreters this length overflows a float instead.
+        net = '{"nodes": 2, "edges": [[0, 1, %s]]}' % ("9" * 5000)
+        path = tmp_path / "long.json"
+        if network_file:
+            (tmp_path / "net.json").write_text(net)
+            net = '"net.json"'
+        path.write_text('{"network": %s, "locations": [{"node": 0}]}' % net)
+        assert cli.main(["eval", "--mech", "median", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_readme_examples_run_as_written(self, tmp_path, monkeypatch, capsys):
+        """Each line of README.md's Examples block exits 0 in a directory
+        holding the README's instance file as two_agents.json, and a line
+        commented with an output line prints it."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        instance = re.search(r"Instance files are JSON:\n\n```json\n(.*?)```", readme, re.S)
+        examples = re.search(r"\nExamples:\n\n```sh\n(.*?)```", readme, re.S)
+        (tmp_path / "two_agents.json").write_text(instance.group(1))
+        monkeypatch.chdir(tmp_path)
+        lines = examples.group(1).splitlines()
+        assert len(lines) == 7
+        checked = []
+        for line in lines:
+            command, _, expected = line.partition("#")
+            prog, *argv = shlex.split(command)
+            assert prog == "treefacility"
+            assert cli.main(argv) == 0, line
+            out = capsys.readouterr().out.splitlines()
+            if expected.strip():
+                assert expected.strip() in out, line
+                checked.append(expected.strip())
+        assert checked == ["ratio: 1.5"]
 
     def test_opt(self, two_agents_file, capsys):
         code = cli.main(["opt", "--instance", two_agents_file])

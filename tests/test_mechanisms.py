@@ -22,12 +22,21 @@ from treefacility.mechanisms import (
     parse_mechanism,
 )
 from treefacility.network import LocationProfile, NotALineError, Point, TreeNetwork
-from treefacility.objectives import Objective, expected_social_cost, optimal_location, point_mass
+from treefacility.objectives import (
+    DistributionInvalidError,
+    Objective,
+    expected_social_cost,
+    make_distribution,
+    optimal_location,
+    point_mass,
+    weighted_average,
+)
 
 from conftest import assert_dist_close, line_net, profile, star_net
 from oracles import reference_walk
 
 Q23 = Fraction(2, 3)
+NAN = float("nan")
 
 
 def coords_dist(net, dist):
@@ -137,7 +146,7 @@ class TestGeneralizedMedianWalk:
     def test_median_and_dgm(self):
         for net, prof in self.instances():
             n = len(prof)
-            assert TreeMedian().point(net, prof) == reference_walk(
+            assert TreeMedian().run(net, prof).the_point() == reference_walk(
                 net, prof, None, lambda c: 2 * c > n)
             for q in (Fraction(3, 5), Q23, Fraction(1)):
                 for i in sorted({1, 2, n}):
@@ -145,7 +154,7 @@ class TestGeneralizedMedianWalk:
                         continue
                     expected = reference_walk(
                         net, prof, i - 1, lambda c: c * q.denominator >= q.numerator * n)
-                    assert DGM(i, q).point(net, prof) == expected
+                    assert DGM(i, q).run(net, prof).the_point() == expected
 
     def test_rdgm_members(self):
         for net, prof in self.instances():
@@ -205,7 +214,7 @@ class TestPB:
     def test_single_member_degenerates(self, unit_line3):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
         d = PB([Dictator(1)], [1.0]).run(unit_line3, prof)
-        assert d.is_point_mass()
+        assert len(d) == 1
         assert d.the_point() == Point.at_node(0)
 
     def test_lrm_composition(self):
@@ -387,6 +396,17 @@ class TestDistributionInvariants:
                 assert total == pytest.approx(1.0, abs=1e-9)
                 assert all(prob >= 0 for _, prob in d1)
                 assert len(set(d1.points)) == len(d1.points)
+
+    @pytest.mark.parametrize("build", [
+        lambda net: weighted_average(net, [Point.at_node(0), Point.at_node(2)], [NAN, NAN]),
+        lambda net: PB([TreeMedian(), DGM(1, Q23)], [NAN, NAN]),
+        lambda net: Mixture([(TreeMedian(), NAN), (RandomDictator(), NAN)]),
+        lambda net: make_distribution([(Point.at_node(0), 1.0), (Point.at_node(1), NAN)]),
+    ], ids=["weighted-average", "pb", "mix", "distribution"])
+    def test_nan_weights_and_probabilities_are_rejected(self, unit_line3, build):
+        # NaN fails every comparison, so only a test it must pass stops it.
+        with pytest.raises(DistributionInvalidError):
+            build(unit_line3)
 
 
 class TestParse:

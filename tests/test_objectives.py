@@ -101,7 +101,7 @@ class TestExpectedCosts:
 
     def test_duplicate_support_merges(self):
         d = make_distribution([(Point.at_node(0), 0.5), (Point.at_node(0), 0.5)])
-        assert d.is_point_mass()
+        assert len(d) == 1
 
 
 class TestWeightedAverage:

@@ -207,11 +207,11 @@ def test_median_walks_match_the_subdivided_reference(data):
     net = data.draw(trees())
     prof = LocationProfile(net, data.draw(clustered_points(net)))
     n = len(prof)
-    assert TreeMedian().point(net, prof) == reference_walk(net, prof, None, lambda c: 2 * c > n)
+    assert TreeMedian().run(net, prof).the_point() == reference_walk(net, prof, None, lambda c: 2 * c > n)
     for q in (Fraction(3, 5), Fraction(2, 3), Fraction(1)):
         qualifies = lambda c: c * q.denominator >= q.numerator * n  # noqa: E731
         expected = [reference_walk(net, prof, i, qualifies) for i in range(n)]
-        assert [DGM(i + 1, q).point(net, prof) for i in range(n)] == expected
+        assert [DGM(i + 1, q).run(net, prof).the_point() for i in range(n)] == expected
         if q <= Fraction(2, 3):
             assert RandomizedDGM(q).member_points(net, prof) == expected
 

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from treefacility.cli import CSV_HEADER, csv_row
 from treefacility.generators import GeneratorConfig, generate
 from treefacility.mechanisms import (
     DGM,
@@ -19,10 +21,8 @@ from treefacility.network import LocationProfile, Point, TreeNetwork, instance_d
 from treefacility.objectives import Objective, optimal_location
 from treefacility.verify import (
     BadParamsError,
-    CSV_HEADER,
     approx_ratio,
     boomerang_check,
-    csv_row,
     deviation_points,
     lemma_identity_check,
     lower_bound_witness,
@@ -168,22 +168,22 @@ class TestApproxRatio:
 class TestRatioSearch:
     def test_deterministic_given_seed(self):
         cfg = GeneratorConfig(max_nodes=8, min_agents=2, max_agents=4)
-        a = ratio_search(RandomDictator(), Objective.MINISOS, cfg, budget=30, seed=7)
-        b = ratio_search(RandomDictator(), Objective.MINISOS, cfg, budget=30, seed=7)
+        a = ratio_search(RandomDictator(), Objective.MINISOS, replace(cfg, seed=7), budget=30)
+        b = ratio_search(RandomDictator(), Objective.MINISOS, replace(cfg, seed=7), budget=30)
         assert a[0].ratio == b[0].ratio
         assert instance_digest(*a[1:]) == instance_digest(*b[1:])
 
     def test_rd_on_lines_pins_at_two(self):
         cfg = GeneratorConfig(topology="line", max_nodes=10, min_agents=2,
                               max_agents=6)
-        rep, _, _ = ratio_search(RandomDictator(), Objective.MINISOS, cfg,
-                                 budget=80, seed=11)
+        rep, _, _ = ratio_search(RandomDictator(), Objective.MINISOS, replace(cfg, seed=11),
+                                 budget=80)
         assert rep.ratio == pytest.approx(2.0, abs=1e-9)
 
     def test_median_never_exceeds_two(self):
         cfg = GeneratorConfig(max_nodes=10, min_agents=2, max_agents=6)
-        rep, _, _ = ratio_search(TreeMedian(), Objective.MINISOS, cfg,
-                                 budget=80, seed=11)
+        rep, _, _ = ratio_search(TreeMedian(), Objective.MINISOS, replace(cfg, seed=11),
+                                 budget=80)
         assert rep.ratio <= 2.0 + 1e-6
 
     @pytest.mark.parametrize("mech", [TreeMedian(), RandomizedDGM(Q23)],
@@ -191,8 +191,8 @@ class TestRatioSearch:
     def test_minisos_optimum_is_the_cost_at_its_point(self, mech):
         # The CLI defaults with --max-nodes 20 --max-agents 12 --seed 3.
         cfg = GeneratorConfig(max_nodes=20, min_agents=2, max_agents=12)
-        rep, net, prof = ratio_search(mech, Objective.MINISOS, cfg,
-                                      budget=100, seed=3)
+        rep, net, prof = ratio_search(mech, Objective.MINISOS, replace(cfg, seed=3),
+                                      budget=100)
         at, cost = optimal_location(net, prof)
         sos = sum(net.distance(at, x) ** 2 for x in prof)
         # The hill climb can drive the optimum down to about 1e-9, so no
@@ -206,13 +206,13 @@ class TestRatioSearch:
         # LRM's extremes are the agents' own points, so the hill climb finds
         # no rounding error above 1.5 to chase.
         cfg = GeneratorConfig(topology="line", max_nodes=20, min_agents=2, max_agents=12)
-        rep, _, _ = ratio_search(LRM(), Objective.MINIMAX, cfg, budget=200, seed=1184)
+        rep, _, _ = ratio_search(LRM(), Objective.MINIMAX, replace(cfg, seed=1184), budget=200)
         assert rep.ratio == pytest.approx(1.5, rel=0.0, abs=1e-11)
 
     def test_bad_budget(self):
         cfg = GeneratorConfig()
         with pytest.raises(BadParamsError):
-            ratio_search(RandomDictator(), Objective.MINISOS, cfg, budget=0, seed=1)
+            ratio_search(RandomDictator(), Objective.MINISOS, replace(cfg, seed=1), budget=0)
 
 
 class TestImmigrants:
