@@ -7,9 +7,9 @@ ratio above its bound), 2 usage or file-format error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
+import statistics
 import sys
 
 from .generators import PLACEMENTS, TOPOLOGIES, BadConfigError, GeneratorConfig, generate
@@ -39,10 +39,8 @@ LINE_BOUNDS = {
     ("half-avg-rd", "minisos"): 1.5,
 }
 
-USAGE_ERRORS = (
-    NetworkError, MechanismError, BadConfigError, DistributionInvalidError, V.BadParamsError,
-    json.JSONDecodeError, UnicodeDecodeError, OSError,
-)
+USAGE_ERRORS = (NetworkError, MechanismError, BadConfigError, DistributionInvalidError,
+                V.BadParamsError, OSError)
 
 # Misreport checks: command -> (check, what its report maximizes, help, the
 # names of the last two entries of its worst case).
@@ -85,28 +83,12 @@ def _add_generator_args(p):
     p.add_argument("--placement", default=GeneratorConfig.placement, choices=PLACEMENTS)
 
 
-# The columns `ratio` writes; `_read_ratios` reads them back by name.
-CSV_HEADER = [
-    "instance_digest", "mechanism", "objective",
-    "mech_cost", "opt_cost", "ratio", "seed",
-]
-
-
-def csv_row(digest, report: V.RatioReport, mechanism_name, objective, seed):
-    return [
-        digest, mechanism_name, objective.value,
-        f"{report.mechanism_cost:.12g}", f"{report.optimal_cost:.12g}",
-        "" if report.ratio is None else f"{report.ratio:.12g}",
-        str(seed),
-    ]
-
-
-def _write_csv(path, rows, header=CSV_HEADER):
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+def _write_lines(path, docs):
+    """Write each doc as one JSON line, to the file at path or to stdout (None or "-")."""
+    out = sys.stdout if path in (None, "-") else open(path, "w")
     try:
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)
+        for doc in docs:
+            out.write(json.dumps(doc) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -171,8 +153,8 @@ def build_parser():
     p.add_argument("--out")
     _add_generator_args(p)
 
-    p = sub.add_parser("report", help="aggregate ratio CSVs into a bounds table")
-    p.add_argument("csvs", nargs="+")
+    p = sub.add_parser("report", help="aggregate ratio records into a bounds table")
+    p.add_argument("files", nargs="+")
     p.add_argument("--out", default="-")
     return ap
 
@@ -208,9 +190,8 @@ def _write_instance(path, network, profile):
 
 def _instances(args):
     if args.instance:
-        yield _load_instance(args.instance)
-        return
-    yield from generate(_generator_config(args), args.budget)
+        return [_load_instance(args.instance)]
+    return generate(_generator_config(args), args.budget)
 
 
 def cmd_misreport_check(args):
@@ -242,12 +223,16 @@ def cmd_misreport_check(args):
 def cmd_ratio(args):
     mech = parse_mechanism(args.mech)
     objective = Objective.parse(args.objective)
-    rows = []
-    for network, profile in _instances(args):
-        rep = V.approx_ratio(mech, network, profile, objective)
-        rows.append(csv_row(instance_digest(network, profile), rep, mech.name, objective,
-                            args.seed))
-    _write_csv(args.out, rows)
+    # An instance file names no topology or seed.  _instances runs before the
+    # file opens, so a bad instance leaves no file.
+    topology, seed = (None, None) if args.instance else (args.topology, args.seed)
+    _write_lines(args.out, (
+        {"digest": instance_digest(network, profile), "topology": topology,
+         "mechanism": mech.name, "objective": objective.value,
+         "mech_cost": rep.mechanism_cost, "opt_cost": rep.optimal_cost, "ratio": rep.ratio,
+         "seed": seed}
+        for network, profile in _instances(args)
+        for rep in [V.approx_ratio(mech, network, profile, objective)]))
     return 0
 
 
@@ -291,70 +276,56 @@ def cmd_witness(args):
 
 
 def cmd_generate(args):
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for network, profile in generate(_generator_config(args), args.budget):
-            doc = instance_to_json(network, profile)
-            doc["digest"] = instance_digest(network, profile)
-            out.write(json.dumps(doc) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_lines(args.out, (
+        {**instance_to_json(network, profile), "digest": instance_digest(network, profile)}
+        for network, profile in generate(_generator_config(args), args.budget)))
     return 0
 
 
-def _read_ratios(path):
-    """((mechanism, objective), ratio or None) for each row of a ratio CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            if "mechanism" not in header:
-                raise NetworkError(f"{path}: malformed CSV (missing header)")
-            for fields in filter(None, reader):  # blank lines are skipped
-                try:
-                    if len(fields) != len(header):
-                        raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
-                    row = dict(zip(header, fields))
-                    ratio = float(row["ratio"]) if row["ratio"] else None
-                    if ratio is not None and not 0.0 <= ratio < float("inf"):
-                        raise ValueError(f"ratio {row['ratio']!r} is not a finite number >= 0")
-                except (KeyError, ValueError) as exc:
-                    raise NetworkError(f"{path}:{reader.line_num}: malformed CSV row ({exc})")
-                yield (row["mechanism"], row["objective"]), ratio
-        except csv.Error as exc:  # e.g. a field longer than the csv module allows
-            raise NetworkError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+def _read_records(path):
+    """(mechanism, objective, topology, ratio or None) for each line of a `ratio` file."""
+    keys, records = ("mechanism", "objective", "topology", "ratio"), []
+    with open(path, "rb") as fh:
+        for k, line in enumerate(fh, 1):
+            try:
+                doc = json.loads(line)
+                if not (isinstance(doc, dict) and doc.keys() >= set(keys)):
+                    raise ValueError(f"not an object with the keys {', '.join(keys)}")
+                mech, obj, topology, ratio = (doc[key] for key in keys)
+                if not (isinstance(mech, str) and isinstance(obj, str)):
+                    raise ValueError("mechanism and objective must be strings")
+                if topology not in (None, *TOPOLOGIES):
+                    raise ValueError(f"topology must be null or one of {', '.join(TOPOLOGIES)}")
+                if ratio is not None and not (type(ratio) in (int, float)
+                                              and 0 <= float(ratio) < float("inf")):
+                    raise ValueError("ratio must be null or a finite number >= 0")
+            except (ValueError, OverflowError, RecursionError) as exc:
+                raise NetworkError(f"{path}:{k}: malformed record ({exc})") from None
+            records.append((mech, obj, topology, ratio))
+    if not records:
+        raise NetworkError(f"{path}: no records")
+    return records
 
 
 def cmd_report(args):
     groups = {}
-    for path in args.csvs:
-        for key, ratio in _read_ratios(path):
-            groups.setdefault(key, []).append(ratio)
-    header = ["mechanism", "objective", "instances", "zero_opt", "max_ratio", "mean_ratio",
-              "bound", "flag"]
-    rows = []
-    flagged = 0
-    for (mech, obj), group in sorted(groups.items()):
-        # A row without a ratio had a zero optimum.
-        ratios = [r for r in group if r is not None]
-        # The CSVs carry no topology, so line-only bounds do not apply.
-        bound = _bound_for(mech, obj, None)
-        max_ratio = max(ratios) if ratios else None
-        flag = bound is not None and max_ratio is not None and max_ratio > bound + BOUND_TOL
-        flagged += bool(flag)
-        rows.append([
-            mech, obj, str(len(group)), str(len(group) - len(ratios)),
-            "" if max_ratio is None else f"{max_ratio:.9g}",
-            "" if not ratios else f"{sum(ratios) / len(ratios):.9g}",
-            "" if bound is None else f"{bound:g}",
-            "OVER-BOUND" if flag else "",
-        ])
-    _write_csv(args.out, rows, header)
-    if args.out != "-":
-        for row in [header] + rows:
-            print("  ".join(f"{c:<14}" for c in row))
-    return 1 if flagged else 0
+    for path in args.files:
+        for mech, obj, topology, ratio in _read_records(path):
+            groups.setdefault((mech, obj, topology), []).append(ratio)
+    docs = []
+    # A null topology (ratios over an instance file) sorts first.
+    for (mech, obj, topology), group in sorted(groups.items(),
+                                               key=lambda g: (*g[0][:2], g[0][2] or "")):
+        ratios = [r for r in group if r is not None]  # a null ratio had a zero optimum
+        top, bound = max(ratios, default=None), _bound_for(mech, obj, topology)
+        docs.append({"mechanism": mech, "objective": obj, "topology": topology,
+                     "instances": len(group), "zero_opt": len(group) - len(ratios),
+                     # an exact sum: the mean of finite ratios is finite
+                     "max_ratio": top, "mean_ratio": statistics.mean(ratios) if ratios else None,
+                     "bound": bound,
+                     "over_bound": None not in (bound, top) and top > bound + BOUND_TOL})
+    _write_lines(args.out, docs)
+    return 1 if any(doc["over_bound"] for doc in docs) else 0
 
 
 COMMANDS = {

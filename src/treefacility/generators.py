@@ -12,6 +12,8 @@ from .network import LocationProfile, Point, TreeNetwork
 EDGE_LENGTHS = (0.5, 2.0)
 TOPOLOGIES = ("line", "star", "caterpillar", "random_tree")
 PLACEMENTS = ("anywhere", "nodes_only")
+# The most nodes, agents or witness agents one instance may have.
+MAX_COUNT = 100_000
 
 
 class BadConfigError(ValueError):
@@ -33,10 +35,12 @@ class GeneratorConfig:
             raise BadConfigError(f"unknown topology {self.topology!r}")
         if self.placement not in PLACEMENTS:
             raise BadConfigError(f"unknown placement {self.placement!r}")
-        if self.min_nodes < 1 or self.max_nodes < self.min_nodes:
-            raise BadConfigError("bad node count range")
-        if self.min_agents < 1 or self.max_agents < self.min_agents:
-            raise BadConfigError("bad agent count range")
+        for what, low, high in (("node", self.min_nodes, self.max_nodes),
+                                ("agent", self.min_agents, self.max_agents)):
+            if low < 1 or high < low:
+                raise BadConfigError(f"bad {what} count range")
+            if high > MAX_COUNT:
+                raise BadConfigError(f"max {what} count {high} is above {MAX_COUNT}")
 
 
 def _make_network(rng, config) -> TreeNetwork:

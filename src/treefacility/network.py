@@ -452,21 +452,24 @@ def subdivide(network: TreeNetwork, anchors):
 
 
 def read_json(path):
-    """The JSON document in the file at path.  A document nested deeper
-    than the decoder's stack, or an integer longer than int() reads (4300
-    digits from Python 3.11 on), is a NetworkError."""
+    """The JSON document in the file at path.  A file that is not JSON or not
+    UTF-8, a document nested deeper than the decoder's stack, or an integer
+    longer than int() reads (4300 digits from Python 3.11 on), is a
+    NetworkError that names the path."""
 
     def parse_int(text):
         try:
             return int(text)
         except ValueError:
-            raise NetworkError(f"{path}: an integer of {len(text)} characters is too long") from None
+            raise ValueError(f"an integer of {len(text)} characters is too long") from None
 
     with open(path) as fh:
         try:
             return json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise NetworkError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise NetworkError(f"{path}: {exc}") from None
 
 
 def network_from_json(doc) -> TreeNetwork:

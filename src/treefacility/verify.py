@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .generators import EDGE_LENGTHS, GeneratorConfig, generate, random_point
+from .generators import EDGE_LENGTHS, MAX_COUNT, GeneratorConfig, generate, random_point
 from .mechanisms import Mechanism
 from .network import (
     ENDPOINT_SNAP,
@@ -367,6 +367,8 @@ def lower_bound_witness(kind: str, n: int = 4):
     happens here."""
     if n < 2 or n % 2:
         raise BadParamsError(f"{kind} needs an even n >= 2")
+    if n > MAX_COUNT:
+        raise BadParamsError(f"{kind} needs n <= {MAX_COUNT}, got {n}")
     k = WITNESS_EDGES.get(kind)
     if k is None:
         raise BadParamsError(f"unknown witness kind {kind!r}")

@@ -1,4 +1,3 @@
-import csv
 import importlib
 import inspect
 import json
@@ -13,6 +12,7 @@ import pytest
 import treefacility
 from treefacility import cli
 from treefacility.generators import (
+    MAX_COUNT,
     BadConfigError,
     GeneratorConfig,
     generate,
@@ -138,6 +138,12 @@ class TestGenerator:
             GeneratorConfig(topology="ring")
         with pytest.raises(BadConfigError):
             GeneratorConfig(min_nodes=5, max_nodes=3)
+
+    @pytest.mark.parametrize("field", ["max_nodes", "max_agents"])
+    def test_count_above_max_count(self, field):
+        GeneratorConfig(**{field: MAX_COUNT})
+        with pytest.raises(BadConfigError, match=f"count {MAX_COUNT + 1} is above {MAX_COUNT}"):
+            GeneratorConfig(**{field: MAX_COUNT + 1})
 
 
 class TestRoundTrip:
@@ -295,6 +301,28 @@ class TestCLI:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("network_file", [False, True])
+    @pytest.mark.parametrize("text, reason", [
+        ('{"nodes": 2, "edges": [[0, 1, 1.0]]\n', "Expecting ',' delimiter"),
+        (b'{"nodes": 2, "edges": [[0, 1, 1.0]]}\xff', "codec can't decode byte 0xff"),
+    ], ids=["truncated", "not-utf8"])
+    def test_malformed_json_file_names_itself(self, tmp_path, capsys, network_file, text,
+                                              reason):
+        bad = tmp_path / ("net.json" if network_file else "instance.json")
+        network = text if isinstance(text, bytes) else text.encode()
+        if network_file:
+            bad.write_bytes(network)
+            (tmp_path / "instance.json").write_text(
+                json.dumps({"network": "net.json", "locations": [{"node": 0}]}))
+        else:
+            bad.write_bytes(b'{"locations": [{"node": 0}], "network": ' + network)
+        argv = ["eval", "--mech", "median", "--instance", str(tmp_path / "instance.json")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ") and reason in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_readme_examples_run_as_written(self, tmp_path, monkeypatch, capsys):
         """Each line of README.md's Examples block exits 0 in a directory
         holding the README's instance file as two_agents.json, and a line
@@ -389,17 +417,17 @@ class TestCLI:
                          "--max-nodes", "5", "--max-agents", "4"])
         assert code == 0
 
-    def test_ratio_csv(self, tmp_path, capsys):
-        out = tmp_path / "ratios.csv"
+    def test_ratio_records(self, tmp_path, capsys):
+        out = tmp_path / "ratios.jsonl"
         code = cli.main(["ratio", "--mech", "half-avg-rd", "--topology", "line",
                         "--budget", "10", "--seed", "5", "--out", str(out)])
         assert code == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 10
-        for row in rows:
-            if row["ratio"]:
-                assert float(row["ratio"]) == pytest.approx(1.5, abs=1e-9)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 10
+        for record in records:
+            assert (record["topology"], record["seed"]) == ("line", 5)
+            if record["ratio"] is not None:
+                assert record["ratio"] == pytest.approx(1.5, abs=1e-9)
 
     def test_ratio_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -545,6 +573,12 @@ class TestCLI:
             assert code == 2
             assert captured.out == "" and captured.err == f"error: {kind} needs an even n >= 2\n"
 
+    def test_witness_n_above_max_count_exit_2(self):
+        argv = ["witness", "--kind", "deterministic_2", "--n", "10000000000"]
+        done = run_capped(f"import sys\nfrom treefacility import cli\nsys.exit(cli.main({argv!r}))\n")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"error: deterministic_2 needs n <= {MAX_COUNT}, got 10000000000\n"
+
     @pytest.mark.parametrize("argv", [
         ["witness", "--kind", "randomized_15_family", "--n", "6"],
         ["witness", "--kind", "randomized_15_family", "--n", "6", "--out"],
@@ -576,6 +610,19 @@ class TestCLI:
             assert "digest" in doc
 
 
+def write_records(path, *records):
+    """One JSON line per record; a str record is written as it is."""
+    path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
+    return str(path)
+
+
+def record(mechanism="median", ratio=1.5, topology=None):
+    """A `ratio` record; `report` reads its mechanism, objective, topology and ratio."""
+    return {"digest": "deadbeef0000", "topology": topology, "mechanism": mechanism,
+            "objective": "minisos", "mech_cost": 3.0, "opt_cost": 2.0, "ratio": ratio,
+            "seed": None}
+
+
 class TestReport:
     def run_ratio(self, tmp_path, name, mech, topology="line", budget=8, seed=5):
         out = tmp_path / name
@@ -584,106 +631,102 @@ class TestReport:
                          "--out", str(out)]) == 0
         return out
 
+    def report(self, tmp_path, *paths, code=0):
+        out = tmp_path / "report.jsonl"
+        assert cli.main(["report", *map(str, paths), "--out", str(out)]) == code
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
     def test_within_bounds_no_flags(self, tmp_path, capsys):
-        a = self.run_ratio(tmp_path, "rd.csv", "rd")
-        b = self.run_ratio(tmp_path, "half.csv", "half-avg-rd")
-        out = tmp_path / "report.csv"
-        code = cli.main(["report", str(a), str(b), "--out", str(out)])
-        assert code == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert all(row["flag"] == "" for row in rows)
-        assert "max_regret" not in rows[0]
-        half = next(r for r in rows if r["mechanism"] == "half-avg-rd")
-        assert float(half["max_ratio"]) == pytest.approx(1.5, abs=1e-9)
-        assert float(half["mean_ratio"]) == pytest.approx(1.5, abs=1e-9)
+        a = self.run_ratio(tmp_path, "rd.jsonl", "rd")
+        b = self.run_ratio(tmp_path, "half.jsonl", "half-avg-rd")
+        rows = self.report(tmp_path, a, b)
+        assert capsys.readouterr().out == ""
+        assert list(rows[0]) == ["mechanism", "objective", "topology", "instances", "zero_opt",
+                                 "max_ratio", "mean_ratio", "bound", "over_bound"]
+        assert not any(row["over_bound"] for row in rows)
+        half, rd = rows
+        # Both groups are on lines, so both are held to their line bounds.
+        assert (rd["mechanism"], rd["topology"], rd["bound"]) == ("rd", "line", 2.0)
+        assert (half["mechanism"], half["topology"], half["bound"]) == ("half-avg-rd", "line", 1.5)
+        assert half["max_ratio"] == pytest.approx(1.5, abs=1e-9)
+        assert half["mean_ratio"] == pytest.approx(1.5, abs=1e-9)
 
     def test_injected_over_bound_row_flags(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        with open(bad, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["instance_digest", "mechanism", "objective",
-                        "mech_cost", "opt_cost", "ratio", "max_regret", "seed"])
-            w.writerow(["deadbeef0000", "median", "minisos",
-                        "5", "2", "2.5", "", "1"])
-        out = tmp_path / "report.csv"
-        code = cli.main(["report", str(bad), "--out", str(out)])
-        assert code == 1
-        text = out.read_text()
-        assert "OVER-BOUND" in text
+        bad = write_records(tmp_path / "bad.jsonl", record("median", 2.5))
+        (row,) = self.report(tmp_path, bad, code=1)
+        assert (row["bound"], row["max_ratio"], row["over_bound"]) == (2.0, 2.5, True)
+
+    def test_line_rd_record_over_its_bound_flags(self, tmp_path, capsys):
+        bad = write_records(tmp_path / "rd.jsonl", record("rd", 2.5, "line"),
+                            record("rd", 1.9, "star"))
+        rows = self.report(tmp_path, bad, code=1)
+        assert [(r["topology"], r["bound"], r["over_bound"]) for r in rows] == [
+            ("line", 2.0, True), ("star", None, False)]
 
     def test_rd_row_is_not_held_to_the_line_bound(self, tmp_path, capsys):
-        # A CSV carries no topology, so the line-only bounds of rd and
-        # half-avg-rd do not apply.
-        rows = tmp_path / "rd.csv"
-        with open(rows, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["instance_digest", "mechanism", "objective",
-                        "mech_cost", "opt_cost", "ratio", "max_regret", "seed"])
-            w.writerow(["deadbeef0000", "rd", "minisos", "8", "3", "2.666666667", "", "1"])
-            w.writerow(["deadbeef0000", "half-avg-rd", "minisos", "5.5", "3",
-                        "1.833333333", "", "1"])
-        out = tmp_path / "report.csv"
-        assert cli.main(["report", str(rows), "--out", str(out)]) == 0
-        assert "OVER-BOUND" not in out.read_text()
+        # A record over an instance file carries no topology, so the
+        # line-only bounds of rd and half-avg-rd do not apply.
+        rows = write_records(tmp_path / "rd.jsonl", record("rd", 2.666666667),
+                             record("half-avg-rd", 1.833333333))
+        assert [(r["bound"], r["over_bound"]) for r in self.report(tmp_path, rows)] == [
+            (None, False), (None, False)]
+
+    def test_null_and_named_topologies_sort(self, tmp_path, capsys):
+        rows = write_records(tmp_path / "r.jsonl", record(topology="line"), record(),
+                             record(topology="caterpillar"))
+        assert [r["topology"] for r in self.report(tmp_path, rows)] == [
+            None, "caterpillar", "line"]
 
     def test_zero_optimum_rows_are_counted(self, tmp_path, capsys):
         # 8 of these 20 three-node instances put every agent on one node:
-        # their optimum is 0 and their CSV row carries no ratio.
-        rows = tmp_path / "r.csv"
+        # their optimum is 0 and their record's ratio is null.
+        rows = tmp_path / "r.jsonl"
         assert cli.main(["ratio", "--mech", "median", "--topology", "line",
                          "--placement", "nodes_only", "--max-nodes", "3",
                          "--budget", "20", "--seed", "2", "--out", str(rows)]) == 0
-        with open(rows, newline="") as fh:
-            ratios = [float(r["ratio"]) for r in csv.DictReader(fh) if r["ratio"]]
-        out = tmp_path / "report.csv"
-        assert cli.main(["report", str(rows), "--out", str(out)]) == 0
-        with open(out, newline="") as fh:
-            (row,) = csv.DictReader(fh)
-        assert (row["instances"], row["zero_opt"]) == ("20", "8")
-        assert float(row["max_ratio"]) == pytest.approx(max(ratios), rel=1e-8)
-        assert float(row["mean_ratio"]) == pytest.approx(sum(ratios) / len(ratios), rel=1e-8)
+        ratios = [r["ratio"] for r in map(json.loads, rows.read_text().splitlines())
+                  if r["ratio"] is not None]
+        (row,) = self.report(tmp_path, rows)
+        assert (row["instances"], row["zero_opt"]) == (20, 8)
+        assert row["max_ratio"] == max(ratios)
+        assert row["mean_ratio"] == pytest.approx(sum(ratios) / len(ratios), rel=1e-12)
 
-    @pytest.mark.parametrize("rows, fields", [
-        (["median"], 1),
-        (["median", "median,minisos,1.5"], 1),  # sorting the groups raised TypeError
-        (["median,minisos,1.5,9"], 4),
-    ])
-    def test_row_with_another_field_count_exit_2(self, tmp_path, capsys, rows, fields):
-        bad = tmp_path / "rows.csv"
-        bad.write_text("mechanism,objective,ratio\n" + "\n".join(rows) + "\n")
-        assert cli.main(["report", str(bad)]) == 2
+    def test_mean_of_the_largest_ratios_is_finite(self, tmp_path, capsys):
+        # A float sum of these two ratios is inf, which is not JSON.
+        big = write_records(tmp_path / "big.jsonl", record(ratio=1e308), record(ratio=1e308))
+        (row,) = self.report(tmp_path, big, code=1)
+        assert row["mean_ratio"] == 1e308
+
+    @pytest.mark.parametrize("line", [
+        "this,is,not", "[1, 2]", '"median"', json.dumps({"mechanism": "median"}),
+        json.dumps({**record(), "mechanism": 3}), json.dumps({**record(), "objective": None}),
+        json.dumps({**record(), "topology": "ring"}), json.dumps({**record(), "ratio": "2"}),
+        json.dumps({**record(), "ratio": True}), "[" * 100_000,
+        json.dumps(record()).replace("1.5", "9" * 400),
+        json.dumps(record()).replace("1.5", "9" * 5000),
+    ], ids=["not-json", "list", "string", "missing-keys", "mechanism", "objective",
+            "topology", "ratio-string", "ratio-bool", "deep", "long-int", "digit-limit"])
+    def test_malformed_record_exit_2(self, tmp_path, capsys, line):
+        bad = write_records(tmp_path / "bad.jsonl", record(), line, record())
+        assert cli.main(["report", bad]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {bad}:2: malformed CSV row "
-                                f"({fields} fields, the header has 3)\n")
-
-    def test_field_over_the_csv_limit_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "big.csv"
-        bad.write_text("mechanism,objective,ratio\nmedian,minisos," + "1" * 200_000 + "\n")
-        assert cli.main(["report", str(bad)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {bad}:2: malformed CSV (field larger")
+        assert captured.err.startswith(f"error: {bad}:2: malformed record (")
         assert len(captured.err.splitlines()) == 1
 
-    def test_malformed_csv_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "junk.csv"
-        bad.write_text("this,is,not\nratio,data,at all\n")
-        assert cli.main(["report", str(bad)]) == 2
-
-    @pytest.mark.parametrize("ratios", [["nan", "3.0"], ["inf"], ["-3"]])
+    @pytest.mark.parametrize("ratios", [["NaN", "3.0"], ["Infinity"], ["-3"]])
     def test_ratio_that_is_not_finite_and_nonnegative_exit_2(self, tmp_path, capsys, ratios):
-        # A nan first would make max() return nan and hide the 3.0 row.
-        bad = tmp_path / "bad.csv"
-        with open(bad, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["instance_digest", "mechanism", "objective",
-                        "mech_cost", "opt_cost", "ratio", "seed"])
-            for ratio in ratios:
-                w.writerow(["deadbeef0000", "median", "minisos", "3", "1", ratio, "1"])
-        assert cli.main(["report", str(bad)]) == 2
+        # A NaN first would make max() return NaN and hide the 3.0 record.
+        bad = write_records(tmp_path / "bad.jsonl", *(
+            json.dumps(record()).replace("1.5", ratio) for ratio in ratios))
+        assert cli.main(["report", bad]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {bad}:2: malformed CSV row (")
-        assert len(captured.err.splitlines()) == 1
+        assert captured.err == (f"error: {bad}:1: malformed record "
+                                "(ratio must be null or a finite number >= 0)\n")
+
+    def test_file_without_records_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert cli.main(["report", str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: no records\n"

@@ -416,3 +416,49 @@ def test_eval_exits_0_1_or_2_with_one_error_line(doc, spec, objective):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+REPORT_KEYS = ("topology", "mechanism", "objective", "ratio")
+GOOD_RECORDS = st.fixed_dictionaries({
+    "digest": st.just("deadbeef0000"), "topology": st.sampled_from([None, *TOPOLOGIES]),
+    "mechanism": st.sampled_from(["median", "rd", "half-avg-rd", "lrm"]) | st.text(max_size=3),
+    "objective": st.sampled_from(["minisos", "minimax"]),
+    "ratio": st.none() | st.floats(0, 3) | st.integers(0, 3), "seed": st.none()})
+GOOD_LINES = st.builds(json.dumps, GOOD_RECORDS).map(str.encode)
+# A line that may break a record file: a record with a key that `report`
+# reads set to any JSON value (a NaN or infinite float dumps as a bare token)
+# or dropped; any JSON value; deep nesting, long integers and broken tokens;
+# or arbitrary bytes.
+BROKEN_LINES = st.one_of(
+    st.builds(lambda doc, key, value: json.dumps({**doc, key: value}),
+              GOOD_RECORDS, st.sampled_from(REPORT_KEYS), JSON_VALUES),
+    st.builds(lambda doc, key: json.dumps({k: v for k, v in doc.items() if k != key}),
+              GOOD_RECORDS, st.sampled_from(REPORT_KEYS)),
+    st.builds(json.dumps, JSON_VALUES),
+).map(str.encode) | st.sampled_from([
+    b"[" * 100_000, b"9" * 5000, b"NaN", b"-Infinity", b"{", b"",
+    b'{"mechanism": "rd", "objective": "minisos", "topology": "line", "ratio": %s}' % (
+        b"9" * 400),
+]) | st.binary(max_size=8)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.lists(GOOD_LINES, max_size=5), st.none() | BROKEN_LINES, st.integers(0, 5))
+def test_report_exits_0_1_or_2_with_one_error_line(lines, broken, at):
+    if broken is not None:
+        lines.insert(at, broken)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["report", path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        (line,) = err.getvalue().splitlines()
+        where = re.escape(path)
+        assert re.fullmatch(rf"error: {where}(:\d+: malformed record \(.*\)|: no records)", line)
+    else:
+        assert err.getvalue() == ""
+        assert all(isinstance(json.loads(line), dict) for line in out.getvalue().splitlines())

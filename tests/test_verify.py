@@ -1,10 +1,11 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from treefacility.cli import CSV_HEADER, csv_row
+from treefacility import cli
 from treefacility.generators import GeneratorConfig, generate
 from treefacility.mechanisms import (
     DGM,
@@ -17,7 +18,13 @@ from treefacility.mechanisms import (
     RandomizedDGM,
     TreeMedian,
 )
-from treefacility.network import LocationProfile, Point, TreeNetwork, instance_digest
+from treefacility.network import (
+    LocationProfile,
+    Point,
+    TreeNetwork,
+    instance_digest,
+    instance_to_json,
+)
 from treefacility.objectives import Objective, optimal_location
 from treefacility.verify import (
     BadParamsError,
@@ -318,13 +325,18 @@ class TestGridOracle:
         assert v == 0.0
 
 
-class TestCSV:
-    def test_row_matches_header(self, unit_line3):
+class TestRatioRecord:
+    def test_keys(self, unit_line3, tmp_path, capsys):
         prof = profile(unit_line3, Point.at_node(0), Point.at_node(2))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance_to_json(unit_line3, prof)))
+        assert cli.main(["ratio", "--mech", "median", "--instance", str(path)]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
         rep = approx_ratio(TreeMedian(), unit_line3, prof)
-        row = csv_row(instance_digest(unit_line3, prof), rep, "median", Objective.MINISOS, 42)
-        assert len(row) == len(CSV_HEADER)
-        assert row[0] == instance_digest(unit_line3, prof)
-        assert row[1] == "median"
-        assert row[2] == "minisos"
-        assert row[-1] == "42"
+        # An instance file names neither a topology nor a seed.
+        assert json.loads(line) == {
+            "digest": instance_digest(unit_line3, prof), "topology": None,
+            "mechanism": "median", "objective": "minisos", "mech_cost": rep.mechanism_cost,
+            "opt_cost": rep.optimal_cost, "ratio": rep.ratio, "seed": None}
+        assert list(json.loads(line)) == ["digest", "topology", "mechanism", "objective",
+                                          "mech_cost", "opt_cost", "ratio", "seed"]
