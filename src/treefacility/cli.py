@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check failure (e.g. regret above tolerance or a
-ratio above its bound), 2 usage or file-format error.
+ratio above its bound) or a reader that closed stdout early, 2 usage or
+file-format error, printed as one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -20,6 +22,7 @@ from .network import (
     Point,
     instance_digest,
     instance_to_json,
+    open_file,
     profile_from_json,
     read_json,
 )
@@ -52,8 +55,6 @@ MISREPORT_CHECKS = {
 
 
 def _load_instance(path):
-    import os
-
     return profile_from_json(read_json(path), base_dir=os.path.dirname(path) or ".")
 
 
@@ -85,7 +86,7 @@ def _add_generator_args(p):
 
 def _write_lines(path, docs):
     """Write each doc as one JSON line, to the file at path or to stdout (None or "-")."""
-    out = sys.stdout if path in (None, "-") else open(path, "w")
+    out = sys.stdout if path in (None, "-") else open_file(path, "w")
     try:
         for doc in docs:
             out.write(json.dumps(doc) + "\n")
@@ -94,8 +95,18 @@ def _write_lines(path, docs):
             out.close()
 
 
+def _usage_error(parser, message):
+    """argparse's error hook: a usage error that main prints as one line."""
+    raise V.BadParamsError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    error = _usage_error
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    objectives = {"type": str.lower, "choices": [o.value for o in Objective]}
+    ap = _Parser(
         prog="treefacility",
         description="Strategyproof facility location on tree networks",
     )
@@ -104,11 +115,11 @@ def build_parser():
     p = sub.add_parser("eval", help="run a mechanism on an instance file")
     p.add_argument("--mech", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--objective", default="minisos")
+    p.add_argument("--objective", default="minisos", **objectives)
 
     p = sub.add_parser("opt", help="optimal location and cost for an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--objective", default="minisos")
+    p.add_argument("--objective", default="minisos", **objectives)
 
     for command, (_, _, help_text, _) in MISREPORT_CHECKS.items():
         p = sub.add_parser(command, help=help_text)
@@ -123,7 +134,7 @@ def build_parser():
     p = sub.add_parser("ratio", help="approximation ratios over instances")
     p.add_argument("--mech", required=True)
     p.add_argument("--instance")
-    p.add_argument("--objective", default="minisos")
+    p.add_argument("--objective", default="minisos", **objectives)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
@@ -131,7 +142,7 @@ def build_parser():
 
     p = sub.add_parser("search", help="adversarial worst-ratio search")
     p.add_argument("--mech", required=True)
-    p.add_argument("--objective", default="minisos")
+    p.add_argument("--objective", default="minisos", **objectives)
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -162,7 +173,7 @@ def build_parser():
 def cmd_eval(args):
     network, profile = _load_instance(args.instance)
     mech = parse_mechanism(args.mech)
-    rep = V.approx_ratio(mech, network, profile, Objective.parse(args.objective))
+    rep = V.approx_ratio(mech, network, profile, Objective(args.objective))
     print("distribution:", json.dumps(rep.distribution.to_json()))
     print(f"cost: {rep.mechanism_cost:.12g}")
     print(f"opt: {rep.optimal_cost:.12g}")
@@ -175,17 +186,11 @@ def cmd_eval(args):
 
 def cmd_opt(args):
     network, profile = _load_instance(args.instance)
-    objective = Objective.parse(args.objective)
+    objective = Objective(args.objective)
     point, cost = optimal_location(network, profile, objective)
     print("location:", json.dumps(point.to_json()))
     print(f"cost: {cost:.12g}")
     return 0
-
-
-def _write_instance(path, network, profile):
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(network, profile), fh, indent=2)
-    print(f"instance written to {path}")
 
 
 def _instances(args):
@@ -212,7 +217,7 @@ def cmd_misreport_check(args):
         witness.update((k, v.to_json() if isinstance(v, Point) else v) for k, v in zip(names, pair))
         print("worst:", json.dumps(witness))
     if args.out:
-        _write_instance(args.out, network, profile)
+        _write_lines(args.out, [instance_to_json(network, profile)])
     if not worst.holds:
         print(f"FAIL: {label} above tolerance {args.tolerance}")
         return 1
@@ -222,7 +227,7 @@ def cmd_misreport_check(args):
 
 def cmd_ratio(args):
     mech = parse_mechanism(args.mech)
-    objective = Objective.parse(args.objective)
+    objective = Objective(args.objective)
     # An instance file names no topology or seed.  _instances runs before the
     # file opens, so a bad instance leaves no file.
     topology, seed = (None, None) if args.instance else (args.topology, args.seed)
@@ -238,7 +243,7 @@ def cmd_ratio(args):
 
 def cmd_search(args):
     mech = parse_mechanism(args.mech)
-    objective = Objective.parse(args.objective)
+    objective = Objective(args.objective)
     result = V.ratio_search(mech, objective, _generator_config(args), args.budget)
     if result is None:
         print("no instance with a nonzero optimum found")
@@ -246,7 +251,7 @@ def cmd_search(args):
     rep, network, profile = result
     print(f"worst ratio: {rep.ratio:.9f} (instance {instance_digest(network, profile)})")
     if args.out:
-        _write_instance(args.out, network, profile)
+        _write_lines(args.out, [instance_to_json(network, profile)])
     bound = _bound_for(mech.name, objective.value, args.topology)
     if bound is not None and rep.ratio > bound + BOUND_TOL:
         print(f"FAIL: ratio exceeds bound {bound}")
@@ -268,10 +273,7 @@ def cmd_lemma_check(args):
 
 
 def cmd_witness(args):
-    network, profile = V.lower_bound_witness(args.kind, args.n)
-    print(json.dumps(instance_to_json(network, profile)))
-    if args.out:
-        _write_instance(args.out, network, profile)
+    _write_lines(args.out, [instance_to_json(*V.lower_bound_witness(args.kind, args.n))])
     return 0
 
 
@@ -285,7 +287,7 @@ def cmd_generate(args):
 def _read_records(path):
     """(mechanism, objective, topology, ratio or None) for each line of a `ratio` file."""
     keys, records = ("mechanism", "objective", "topology", "ratio"), []
-    with open(path, "rb") as fh:
+    with open_file(path, "rb") as fh:
         for k, line in enumerate(fh, 1):
             try:
                 doc = json.loads(line)
@@ -343,14 +345,24 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """The program's one boundary: 0 or 1 from the command, or 2 with one
+    `error:` line for every bad argument or input (`--help` exits 0)."""
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "budget", 1) < 1:  # every command with --budget
             raise V.BadParamsError("budget must be >= 1")
         return COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # A reader that stops early (`| head`) is no usage error.  Point stdout
+        # at os.devnull, so the flush at exit raises nothing (the "Note on
+        # SIGPIPE" of Python's signal docs).
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError):  # stdout has no file descriptor
+            pass
+        return 1
     except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", *str(exc).splitlines(), file=sys.stderr)  # joins a multi-line message
         return 2
 
 

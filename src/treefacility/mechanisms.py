@@ -339,6 +339,11 @@ def _items(text, brackets="[]"):
 
 def _parse_fraction(text) -> Fraction:
     try:
+        # Fraction builds 10**|exponent| before any range check, so an exponent
+        # past the int digit limit is refused on the text.
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > 4300:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise MechanismError(f"bad rational {text!r}") from None

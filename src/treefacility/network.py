@@ -451,6 +451,14 @@ def subdivide(network: TreeNetwork, anchors):
 # -- file formats ----------------------------------------------------------
 
 
+def open_file(path, mode="r"):
+    """The file at path, opened in mode.  A NUL in the path, which open()
+    rejects with a bare ValueError, is a NetworkError."""
+    if "\0" in path:
+        raise NetworkError(f"{path!r}: a path cannot contain a NUL character")
+    return open(path, mode)
+
+
 def read_json(path):
     """The JSON document in the file at path.  A file that is not JSON or not
     UTF-8, a document nested deeper than the decoder's stack, or an integer
@@ -463,7 +471,7 @@ def read_json(path):
         except ValueError:
             raise ValueError(f"an integer of {len(text)} characters is too long") from None
 
-    with open(path) as fh:
+    with open_file(path) as fh:
         try:
             return json.load(fh, parse_int=parse_int)
         except RecursionError:
@@ -508,8 +516,6 @@ def profile_from_json(doc, base_dir=".") -> tuple[TreeNetwork, LocationProfile]:
     if isinstance(net_doc, str):
         import os
 
-        if "\0" in net_doc:  # open() raises a bare ValueError on it
-            raise NetworkError("'network' path contains a NUL character")
         net_doc = read_json(os.path.join(base_dir, net_doc))
     network = network_from_json(net_doc)
     pts = [

@@ -43,13 +43,6 @@ class Objective(enum.Enum):
     MINISUM = "minisum"
     MINIMAX = "minimax"
 
-    @staticmethod
-    def parse(text: str) -> "Objective":
-        try:
-            return Objective(text.lower())
-        except ValueError:
-            raise NetworkError(f"unknown objective {text!r}") from None
-
 
 class LocationDistribution(tuple):
     """Finite-support probability distribution over points of one network:

@@ -25,17 +25,22 @@ def profile(net, *points):
     return LocationProfile(net, points)
 
 
-def run_capped(code):
+def child_env():
+    """The environment of a child Python that imports what this one does."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+def run_capped(code, timeout=300):
     """Run Python source in a child process whose address space is capped
     at 1 GiB, so code that allocates without bound fails with MemoryError
-    instead of exhausting the machine."""
+    instead of exhausting the machine.  A child still running after timeout
+    seconds is killed and subprocess.TimeoutExpired raised."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run([sys.executable, "-c", code], preexec_fn=cap, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", code], preexec_fn=cap, env=child_env(),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import json
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from treefacility.mechanisms import AverageOnly, RandomDictator
 from treefacility.objectives import CostOverflowError, expected_social_cost, social_cost
 from treefacility.verify import boomerang_check, sp_check
 
-from conftest import line_net, run_capped
+from conftest import child_env, line_net, run_capped
 from oracles import line_with_coordinates
 
 
@@ -406,10 +408,17 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
     def test_grid_option_is_gone(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--mech", "median", "--budget", "1", "--grid", "0"])
-        assert exc.value.code == 2
-        assert "--grid" in capsys.readouterr().err
+        code = cli.main([command, "--mech", "median", "--budget", "1", "--grid", "0"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 2 and line.startswith("error:") and "--grid" in line
+
+    def test_message_with_a_line_break_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "a\nb.jsonl"
+        path.write_text("{\n")
+        for argv in (["lemma-check", "--kind", "flattening", "a\nb"], ["report", str(path)]):
+            assert cli.main(argv) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error:") and "a b" in line
 
     def test_boomerang_check(self, capsys):
         code = cli.main(["boomerang-check", "--mech", "kth:1", "--budget", "5",
@@ -597,6 +606,38 @@ class TestCLI:
         capsys.readouterr()
         assert cli.main(["eval", "--mech", "median", "--instance", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_ratio_records_are_read_by_report(self, tmp_path, capsys):
+        path = str(tmp_path / "ratios.jsonl")
+        assert cli.main(["ratio", "--mech", "median", "--budget", "3", "--out", path]) == 0
+        assert cli.main(["report", path]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    def test_witness_out_writes_what_it_prints(self, tmp_path, capsys):
+        argv, path = ["witness", "--kind", "deterministic_2", "--n", "4"], tmp_path / "w.json"
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == "" and path.read_text() == printed
+
+    @pytest.mark.parametrize("spec, rational", [("rdgm:1e-999999999", "1e-999999999"),
+                                                ("pb:[median]:[1e99999999]", "1e99999999")])
+    def test_spec_with_a_huge_exponent_exit_2(self, spec, rational):
+        # Fraction would build 10**999999999 before rejecting the value.
+        argv = ["sp-check", "--mech", spec, "--budget", "1"]
+        done = run_capped(f"import sys\nfrom treefacility import cli\nsys.exit(cli.main({argv!r}))\n",
+                          timeout=20)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"error: bad mechanism spec {spec!r}: bad rational {rational!r}\n"
+
+    def test_closed_stdout_exits_1_without_an_error_line(self):
+        argv = [sys.executable, "-m", "treefacility.cli", "generate", "--budget", "3000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env()) as child:
+            assert json.loads(child.stdout.readline())
+            child.stdout.close()  # as `| head -1` does
+            assert child.wait(timeout=60) == 1
+            assert child.stderr.read() == b""
 
     def test_generate_jsonl(self, tmp_path):
         out = tmp_path / "inst.jsonl"

@@ -1,7 +1,7 @@
 """Property tests of distances, path steps, branches, subdivision, the
 walks of the medians and of the miniSOS optimum, the branch condition, the
-misreport sweeps and instance files on random trees, and of the CLI's exit
-codes on arbitrary instance documents and specs."""
+misreport sweeps and instance files on random trees, and of the exit codes
+of every CLI command on faulty command lines, instance documents and specs."""
 
 import contextlib
 import io
@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings, strategies as st  # noqa: E402
 
 from treefacility import cli  # noqa: E402
-from treefacility.generators import GeneratorConfig, generate  # noqa: E402
+from treefacility.generators import PLACEMENTS, GeneratorConfig, generate  # noqa: E402
 from treefacility.mechanisms import (  # noqa: E402
     DGM,
     Mechanism,
@@ -37,7 +37,12 @@ from treefacility.network import (  # noqa: E402
     subdivide,
 )
 from treefacility.objectives import weighted_average  # noqa: E402
-from treefacility.verify import boomerang_check, sp_check  # noqa: E402
+from treefacility.verify import (  # noqa: E402
+    IDENTITY_CHECKS,
+    WITNESS_EDGES,
+    boomerang_check,
+    sp_check,
+)
 
 from oracles import (  # noqa: E402
     GenericSweep,
@@ -401,17 +406,118 @@ SPEC = st.sampled_from(GOOD_SPECS) | st.text(SPEC_CHARS, max_size=24) | st.build
     st.integers(0, 30), st.text(SPEC_CHARS, max_size=4))
 
 
-@settings(SETTINGS, max_examples=300)
-@given(instance_docs(), SPEC, st.sampled_from(["minisos", "minisum", "minimax", "mean"]))
-def test_eval_exits_0_1_or_2_with_one_error_line(doc, spec, objective):
+def files(*names):
+    """Names of the files that _fuzz_files makes, as ("file", name)."""
+    return st.sampled_from([("file", name) for name in names])
+
+
+# (valid, invalid) values of each flag: choices, ints of any sign and size,
+# floats that are not finite or too large, spec strings, and files.  Valid
+# sizes stay at 6 nodes and 4 agents and budgets at 2, as the default budgets
+# of 50 to 2,000 would make an example slow; invalid sizes are huge, as
+# MAX_COUNT rejects those before anything is allocated.
+JUNK = st.sampled_from(["junk", "", "nan", "inf", "-inf", "1e400"])
+HUGE = st.sampled_from([str(10 ** 6), str(10 ** 30), "-1", "0"]) | JUNK
+FLAG_VALUES = {
+    "--mech": (st.sampled_from(GOOD_SPECS), SPEC),
+    "--objective": (st.sampled_from(["minisos", "MiniMax", "minisum"]),
+                    st.sampled_from(["mean", ""])),
+    "--instance": (files("instance"), files("records", "missing", "dir", "nul") | st.just("")),
+    "--out": (files("out") | st.just("-"), files("dir", "nul", "missing/out") | st.just("")),
+    "--budget": (st.sampled_from(["1", "2"]), st.sampled_from(["-1", "0", "junk"])),
+    "--seed": (st.integers().map(str), JUNK),
+    "--tolerance": (st.sampled_from(["0", "1e-7", "0.5"]), st.just("-1") | JUNK),
+    "--topology": (st.sampled_from(TOPOLOGIES), st.just("grid") | JUNK),
+    "--placement": (st.sampled_from(PLACEMENTS), st.just("bogus") | JUNK),
+    # A valid minimum is at most the default minimum of 2, and a valid
+    # maximum at least that.
+    "--min-nodes": (st.sampled_from(["1", "2"]), HUGE),
+    "--max-nodes": (st.integers(2, 6).map(str), HUGE),
+    "--min-agents": (st.sampled_from(["1", "2"]), HUGE),
+    "--max-agents": (st.integers(2, 4).map(str), HUGE),
+    "--kind": {command: (st.sampled_from(sorted(kinds)),
+                         st.sampled_from([*IDENTITY_CHECKS, *WITNESS_EDGES, "bogus"]).filter(
+                             lambda kind, kinds=kinds: kind not in kinds) | JUNK)
+               for command, kinds in [("lemma-check", IDENTITY_CHECKS),
+                                      ("witness", WITNESS_EDGES)]},
+    "--n": (st.sampled_from(["2", "4", "6"]), st.sampled_from(["3", "-2"]) | HUGE),
+    "files": (st.lists(files("records", "over"), min_size=1, max_size=2),  # report's
+              st.lists(files("records", "bad", "instance", "missing", "dir", "nul"), max_size=2)),
+}
+# Command -> (the flags it is always given unless broken, the flags it may be
+# given).  --max-nodes and --max-agents keep generated instances small.
+GENERATOR = ("--budget", "--max-nodes", "--max-agents")
+MORE_GENERATOR = ("--seed", "--topology", "--min-nodes", "--min-agents", "--placement")
+COMMAND_FLAGS = {
+    "eval": (("--mech", "--instance"), ("--objective",)),
+    "opt": (("--instance",), ("--objective",)),
+    "sp-check": (("--mech", *GENERATOR), ("--instance", "--tolerance", "--out", *MORE_GENERATOR)),
+    "boomerang-check": (("--mech", *GENERATOR),
+                        ("--instance", "--tolerance", "--out", *MORE_GENERATOR)),
+    "ratio": (("--mech", *GENERATOR), ("--instance", "--objective", "--out", *MORE_GENERATOR)),
+    "search": (("--mech", *GENERATOR), ("--objective", "--out", *MORE_GENERATOR)),
+    "lemma-check": (("--kind", "--budget"), ("--seed",)),
+    "witness": (("--kind",), ("--n", "--out")),
+    "generate": (GENERATOR, ("--out", *MORE_GENERATOR)),
+    "report": (("files",), ("--out",)),
+}
+# Flags that no command takes and stray words; no "h", so no --help.
+UNKNOWN = st.sampled_from(["--grid", "--bogus", "-x", "extra", "a\nb", "a\0b"]) | st.text(
+    "-abcxyz0\n\0 ", max_size=6)
+RECORD = {"digest": "deadbeef0000", "topology": "line", "mechanism": "rd",
+          "objective": "minisos", "mech_cost": 3.0, "opt_cost": 2.0, "ratio": 1.5, "seed": 0}
+
+
+@st.composite
+def argvs(draw):
+    """A command line with up to two faults.  A broken flag that the command
+    is always given is dropped or given an invalid value, a broken optional
+    flag an invalid value; other optional flags are given a valid value or
+    not at all.  The fault "unknown" puts one or two unknown words anywhere."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    always, optional = COMMAND_FLAGS[command]
+    broken = draw(st.lists(st.sampled_from([*always, *optional, "unknown"]), max_size=2,
+                           unique=True))
+    argv = [command]
+    for flag in (*always, *optional):
+        if flag in broken and flag in always and draw(st.booleans()):
+            continue
+        if flag in broken or flag in always or draw(st.booleans()):
+            values = FLAG_VALUES[flag]
+            value = draw((values[command] if flag == "--kind" else values)[flag in broken])
+            argv += value if flag == "files" else [flag, value]
+    if "unknown" in broken:
+        for word in draw(st.lists(UNKNOWN, min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(1, len(argv))), word)
+    return argv
+
+
+def _fuzz_files(tmp, doc):
+    """File name -> path: the instance document, ratio records within and
+    over their bound, malformed records, a missing file, a directory and a
+    path with a NUL."""
+    paths = {name: os.path.join(tmp, name) for name in
+             ("instance", "records", "over", "bad", "missing", "out", "missing/out")}
+    with open(paths["instance"], "w") as fh:
+        json.dump(doc, fh)
+    with open(paths["records"], "w") as fh:
+        fh.write(json.dumps(RECORD) + "\n" + json.dumps({**RECORD, "ratio": None}) + "\n")
+    with open(paths["over"], "w") as fh:
+        fh.write(json.dumps({**RECORD, "ratio": 2.5}) + "\n")
+    with open(paths["bad"], "w") as fh:
+        fh.write(json.dumps(RECORD) + "\n{\n")
+    return {**paths, "dir": tmp, "nul": os.path.join(tmp, "a\0b")}
+
+
+@settings(SETTINGS, max_examples=400)
+@given(argvs(), instance_docs())
+def test_every_command_exits_0_1_or_2_with_one_error_line(argv, doc):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "instance.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        paths = _fuzz_files(tmp, doc)
+        argv = [paths[word[1]] if isinstance(word, tuple) else word for word in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["eval", f"--mech={spec}", "--instance", path,
-                             "--objective", objective])
+            code = cli.main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         lines = err.getvalue().splitlines()
