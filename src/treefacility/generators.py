@@ -24,7 +24,7 @@ class BadConfigError(ValueError):
 class GeneratorConfig:
     topology: str = "random_tree"  # one of TOPOLOGIES
     min_nodes: int = 2
-    max_nodes: int = 10
+    max_nodes: int = 12
     min_agents: int = 2
     max_agents: int = 6
     placement: str = "anywhere"  # one of PLACEMENTS

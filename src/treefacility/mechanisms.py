@@ -126,7 +126,7 @@ class DGM(Mechanism):
     def __init__(self, i: int, q: Fraction):
         q = Fraction(q)
         if not (Fraction(1, 2) < q <= 1):
-            raise MechanismError(f"q={q} must satisfy 1/2 < q <= 1")
+            raise MechanismError("q must satisfy 1/2 < q <= 1")
         if i < 1:
             raise MechanismError(f"agent index {i} must be >= 1")
         self.i = i
@@ -233,7 +233,7 @@ class RandomizedDGM(Mechanism):
     def __init__(self, q: Fraction):
         q = Fraction(q)
         if not (Fraction(1, 2) < q <= Fraction(2, 3)):
-            raise MechanismError(f"q={q} must satisfy 1/2 < q <= 2/3")
+            raise MechanismError("q must satisfy 1/2 < q <= 2/3")
         self.q = q
         self.name = f"rdgm:{q}"
 

@@ -22,7 +22,7 @@ ENDPOINT_SNAP = 1e-12
 # Rounding slack on derived sums: probabilities and weights that total 1, a
 # distance along a path, the lemma identities, and a zero-cost output.
 ROUND_TOL = 1e-9
-# Default regret (or boomerang violation) a misreport may show in a check.
+# Default --tolerance: the regret (or boomerang violation) a misreport may show.
 SP_TOL = 1e-7
 # Slack before a searched or reported ratio counts as above its paper bound.
 BOUND_TOL = 1e-6
@@ -247,83 +247,74 @@ class TreeNetwork:
         self.check_point(b)
         return self.distances_from(a, (b,))[0]
 
-    def _node_path(self, a: int, b: int):
-        """Node ids along the unique path from a to b, inclusive: up from a
-        to the first ancestor it shares with b, then down to b."""
-        up = [a]
-        while up[-1] != 0:
-            up.append(self.parent[up[-1]])
-        up_index = {x: i for i, x in enumerate(up)}
-        down = [b]
-        while down[-1] not in up_index:
-            down.append(self.parent[down[-1]])
-        return up[:up_index[down[-1]]] + down[::-1]
-
     def child_end(self, e: int) -> int:
         """The end of edge e farther from node 0."""
         u, v, _ = self.edges[e]
         return v if self.parent[v] == u else u
 
-    def path(self, a: Point, b: Point):
-        """Points along the unique simple path from a to b.
+    def _steps(self, a: Point, b: Point):
+        """(edge, start offset, end offset, end point) for each step of the
+        unique simple path from a to b, the offsets measured from endpoint u
+        of the step's edge.  Every end point but the last is a node.
 
-        Endpoints are a and b themselves; every intermediate entry is a node.
-        An interior point sits between the two ends of its edge, so the path
-        leaves it through the child end when the node path from that end
-        goes down, and through the parent end when it goes up.
+        The node path runs up from a's node (the child end of an interior
+        point's edge) to the first ancestor it shares with b's, then down.
+        An interior a or b adds a step along its edge, which takes the place
+        of the node path's step along that edge when it has one.
         """
         self.check_point(a)
         self.check_point(b)
         if a == b:
-            return [a]
-        if not a.is_node and not b.is_node and a.edge == b.edge:
-            return [a, b]
+            return []
         ka = a.node if a.is_node else self.child_end(a.edge)
         kb = b.node if b.is_node else self.child_end(b.edge)
-        nodes = self._node_path(ka, kb)
-        if not a.is_node and len(nodes) > 1 and nodes[1] == self.parent[ka]:
-            nodes = nodes[1:]
-        if not b.is_node and len(nodes) > 1 and nodes[-2] == self.parent[kb]:
-            nodes = nodes[:-1]
-        pts = [Point.at_node(x) for x in nodes]
+        up = [ka]
+        while up[-1] != 0:
+            up.append(self.parent[up[-1]])
+        up_index = {x: i for i, x in enumerate(up)}
+        down = [kb]
+        while down[-1] not in up_index:
+            down.append(self.parent[down[-1]])
+        up = up[:up_index[down[-1]]]
+        points = [Point.at_node(x) for x in up + down[::-1]]
+        # A step between two nodes runs along the parent edge of the lower one.
+        edges = [self.parent_edge[x] for x in up + down[-2::-1]]
         if not a.is_node:
-            pts = [a] + pts
+            points.insert(0, a)
+            edges.insert(0, a.edge)
+            if edges[1:2] == [a.edge]:
+                del points[1], edges[1]
         if not b.is_node:
-            pts = pts + [b]
-        return pts
+            points.append(b)
+            edges.append(b.edge)
+            if edges[-2:-1] == [b.edge]:
+                del points[-2], edges[-2]
+        steps = []
+        for e, p, q in zip(edges, points, points[1:]):
+            u, _, w = self.edges[e]
+            start, end = (x.offset if x.node is None else 0.0 if x.node == u else w for x in (p, q))
+            steps.append((e, start, end, q))
+        return steps
 
-    def _edge_of(self, p: Point, q: Point) -> int:
-        """The edge carrying two consecutive points of a path."""
-        if not p.is_node:
-            return p.edge
-        if not q.is_node:
-            return q.edge
-        a, b = p.node, q.node
-        return self.parent_edge[b] if self.parent[b] == a else self.parent_edge[a]
-
-    def _offset_on(self, e: int, p: Point) -> float:
-        """Offset of p from endpoint u of edge e; p lies on e or at one of its ends."""
-        if not p.is_node:
-            return p.offset
-        u, _, w = self.edges[e]
-        return 0.0 if p.node == u else w
+    def path(self, a: Point, b: Point):
+        """Points along the unique simple path from a to b: a, the nodes between, and b."""
+        return [a] + [q for *_, q in self._steps(a, b)]
 
     def point_along_path(self, a: Point, b: Point, dist: float) -> Point:
         """The point at the given distance from a along path(a, b)."""
         total = self.distance(a, b)
         if dist < -ROUND_TOL or dist > total + ROUND_TOL:
             raise NetworkError(f"distance {dist} outside [0, {total}]")
-        pts = self.path(a, b)
+        if dist >= total:  # b itself, not a point an ulp off it on b's edge
+            return b
         acc = 0.0
-        for p, q in zip(pts, pts[1:]):
-            e = self._edge_of(p, q)
-            start, end = self._offset_on(e, p), self._offset_on(e, q)
+        for e, start, end, _ in self._steps(a, b):
             seg = abs(end - start)
             if acc + seg >= dist - ENDPOINT_SNAP:
                 t = dist - acc
                 return self.point_on_edge(e, start + t if end >= start else start - t)
             acc += seg
-        return pts[-1]
+        return b
 
     # -- subtree decomposition ---------------------------------------------
 
@@ -334,10 +325,9 @@ class TreeNetwork:
         edge's two ends, so the node names one branch."""
         if x == p:
             return None
-        step = self.path(p, x)[1]
-        e = self._edge_of(p, step)
+        e, start, end, _ = self._steps(p, x)[0]
         u, v, _ = self.edges[e]
-        return u if self._offset_on(e, step) < self._offset_on(e, p) else v
+        return u if end < start else v
 
     # -- line helpers -------------------------------------------------------
 

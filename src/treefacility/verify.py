@@ -13,7 +13,6 @@ from .mechanisms import Mechanism
 from .network import (
     ENDPOINT_SNAP,
     ROUND_TOL,
-    SP_TOL,
     LocationProfile,
     Point,
     TreeNetwork,
@@ -76,15 +75,10 @@ class SPReport:
     max_regret: float
     worst_case: tuple | None  # (agent, misreport, true cost, deviated cost)
     tested_count: int
-    tolerance: float = SP_TOL
-
-    @property
-    def holds(self):
-        return self.max_regret <= self.tolerance
 
 
 def sp_check(mechanism: Mechanism, network: TreeNetwork,
-             profile: LocationProfile, tolerance: float = SP_TOL) -> SPReport:
+             profile: LocationProfile) -> SPReport:
     """Max regret any agent can gain by any tested misreport (exact
     expectations, no sampling)."""
     base = mechanism.run(network, profile)
@@ -99,8 +93,7 @@ def sp_check(mechanism: Mechanism, network: TreeNetwork,
         if regret > max_regret:
             max_regret = regret
             worst = (i, p, true_costs[i], dev_cost)
-    return SPReport(max_regret=max(max_regret, 0.0), worst_case=worst,
-                    tested_count=tested, tolerance=tolerance)
+    return SPReport(max_regret=max(max_regret, 0.0), worst_case=worst, tested_count=tested)
 
 
 @dataclass
@@ -108,11 +101,6 @@ class BoomerangReport:
     max_violation: float
     worst_case: tuple | None  # (agent, misreport, output, deviated output)
     tested_count: int
-    tolerance: float = SP_TOL
-
-    @property
-    def holds(self):
-        return self.max_violation <= self.tolerance
 
 
 def _the_point(mechanism, dist) -> Point:
@@ -122,8 +110,7 @@ def _the_point(mechanism, dist) -> Point:
 
 
 def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
-                    profile: LocationProfile,
-                    tolerance: float = SP_TOL) -> BoomerangReport:
+                    profile: LocationProfile) -> BoomerangReport:
     """Check that a deviator's cost increase equals the facility movement."""
     y = _the_point(mechanism, mechanism.run(network, profile))
     true_costs = network.distances_from(y, profile)
@@ -139,7 +126,7 @@ def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
             max_violation = violation
             worst = (i, p, y, y2)
     return BoomerangReport(max_violation=max(max_violation, 0.0), worst_case=worst,
-                           tested_count=tested, tolerance=tolerance)
+                           tested_count=tested)
 
 
 # -- approximation ratios ---------------------------------------------------
@@ -345,14 +332,6 @@ IDENTITY_CHECKS = {
     "flattening": (check_flattening, make_two_anchor_instance),
     "wavg_movement": (check_wavg_movement, make_movement_instance),
 }
-
-
-def lemma_identity_check(kind: str, rng: random.Random) -> IdentityReport:
-    """Generate a compliant instance and check the named identity on it."""
-    if kind not in IDENTITY_CHECKS:
-        raise BadParamsError(f"unknown identity kind {kind!r}")
-    check, make_instance = IDENTITY_CHECKS[kind]
-    return check(*make_instance(rng))
 
 
 # -- lower-bound witness profiles -------------------------------------------

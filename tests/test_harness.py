@@ -489,6 +489,36 @@ class TestCLI:
         assert code == 2
         assert "tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sp-check", "boomerang-check"])
+    def test_tolerance_decides_the_verdict(self, tmp_path, capsys, command):
+        # The benchmark's control: avg-only with agents at nodes 1 and 2 of a
+        # line of two edges of length 2.
+        net = line_net(2.0, 2.0)
+        path = write_instance(tmp_path / "control.json", net,
+                              LocationProfile(net, [Point.at_node(1), Point.at_node(2)]))
+        argv = [command, "--mech", "avg-only", "--instance", path]
+        assert cli.main(argv) == 1
+        printed = float(capsys.readouterr().out.split()[1])
+        assert printed > 0.0
+        assert cli.main([*argv, "--tolerance", repr(printed * 1.01)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "OK"
+
+    @pytest.mark.parametrize("command", ["sp-check", "boomerang-check", "ratio", "search",
+                                         "generate"])
+    def test_generator_flags_default_to_the_config(self, command):
+        argv = [command] if command == "generate" else [command, "--mech", "median"]
+        assert cli._generator_config(cli.build_parser().parse_args(argv)) == GeneratorConfig()
+
+    @pytest.mark.parametrize("spec, bound", [("rdgm:1E-4300", "1/2 < q <= 2/3"),
+                                             ("dgm:1:1E-4300", "1/2 < q <= 1"),
+                                             ("rdgm:1e-400", "1/2 < q <= 2/3")])
+    def test_q_out_of_range_names_the_range(self, spec, bound, capsys):
+        # A q with a huge exponent is refused by its range, not by printing it.
+        assert cli.main(["sp-check", "--mech", spec, "--budget", "1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and len(line) < 200
+        assert bound in line and "4300 digits" not in line
+
     @pytest.mark.parametrize("command", [["eval", "--mech", "median"], ["opt"]])
     def test_length_whose_square_overflows_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "extreme.json"

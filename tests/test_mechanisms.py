@@ -123,9 +123,9 @@ class TestDGM:
         assert DGM(1, Q23).run(net, prof).the_point() == Point.at_node(2)
 
     def test_rejects_half_or_less(self):
-        with pytest.raises(MechanismError, match=re.escape("q=1/2 must satisfy 1/2 < q <= 1")):
+        with pytest.raises(MechanismError, match=re.escape("q must satisfy 1/2 < q <= 1")):
             DGM(1, Fraction(1, 2))
-        with pytest.raises(MechanismError, match=re.escape("q=1/3 must satisfy 1/2 < q <= 1")):
+        with pytest.raises(MechanismError, match=re.escape("q must satisfy 1/2 < q <= 1")):
             DGM(1, Fraction(1, 3))
 
 
@@ -319,9 +319,9 @@ class TestRandomizedDGM:
         assert d.the_point() == p
 
     def test_q_range(self):
-        with pytest.raises(MechanismError, match=re.escape("q=3/4 must satisfy 1/2 < q <= 2/3")):
+        with pytest.raises(MechanismError, match=re.escape("q must satisfy 1/2 < q <= 2/3")):
             RandomizedDGM(Fraction(3, 4))
-        with pytest.raises(MechanismError, match=re.escape("q=1/2 must satisfy 1/2 < q <= 2/3")):
+        with pytest.raises(MechanismError, match=re.escape("q must satisfy 1/2 < q <= 2/3")):
             RandomizedDGM(Fraction(1, 2))
 
 

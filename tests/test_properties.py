@@ -124,6 +124,52 @@ def test_point_along_path_splits_the_distance(data, f):
     assert net.distance(p, b) == pytest.approx((1 - f) * d, abs=tol)
 
 
+@st.composite
+def path_ends(draw, net):
+    """Two points: each a node or an interior point, and sometimes two
+    interior points of one edge."""
+    ends = []
+    for kind in draw(st.lists(st.sampled_from(["node", "interior", "same-edge"]),
+                              min_size=2, max_size=2)):
+        if kind == "node" or not net.edges:
+            ends.append(Point.at_node(draw(st.integers(0, net.node_count - 1))))
+            continue
+        e = ends[0].edge if kind == "same-edge" and ends and not ends[0].is_node else draw(
+            st.integers(0, len(net.edges) - 1))
+        f = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        ends.append(net.point_on_edge(e, net.edges[e][2] * f))
+    return ends
+
+
+def far_end(net, a, q):
+    """The far end of the step from a to the next point q of a path: q
+    itself, or the end of q's edge that the step runs toward."""
+    if q.is_node:
+        return q.node
+    u, v, _ = net.edges[q.edge]
+    if a.is_node:
+        return v if a.node == u else u
+    return v if q.offset > a.offset else u
+
+
+@SETTINGS
+@given(st.data(), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_point_along_path_and_branch_of_follow_the_steps(data, fractions):
+    net = data.draw(trees())
+    ends = data.draw(path_ends(net))
+    for a, b in (ends, ends[::-1]):  # both directions
+        d, path = net.distance(a, b), net.path(a, b)
+        assert net.point_along_path(a, b, 0.0) == a
+        assert net.point_along_path(a, b, d) == b
+        for node in path[1:-1]:  # every step boundary
+            assert net.point_along_path(a, b, net.distance(a, node)) == node
+        for f in fractions:
+            q = net.point_along_path(a, b, f * d)
+            assert abs(net.distance(a, q) - f * d) <= ROUND_TOL
+            assert abs(net.distance(a, q) + net.distance(q, b) - d) <= ROUND_TOL
+        assert net.branch_of(a, b) == (far_end(net, a, path[1]) if a != b else None)
+
+
 @SETTINGS
 @given(st.data())
 def test_branch_of_is_a_branch_at_p(data):
