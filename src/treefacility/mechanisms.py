@@ -31,6 +31,24 @@ class MechanismError(ValueError):
     profile it is given."""
 
 
+def _agent(i, profile):
+    """Agent i's index in profile, agents counting from 1; MechanismError
+    when the profile has fewer than i agents."""
+    if i > len(profile):
+        raise MechanismError(f"agent index {i} exceeds profile size {len(profile)}")
+    return i - 1
+
+
+def _check_q(q, top):
+    """q as a Fraction in (1/2, top] with a reduced denominator below 10**100."""
+    q = Fraction(q)
+    if not (Fraction(1, 2) < q <= top):
+        raise MechanismError(f"q must satisfy 1/2 < q <= {top}")
+    if q.denominator >= 10 ** 100:
+        raise MechanismError("q's reduced denominator must be below 10**100")
+    return q
+
+
 def _sorted_agents(network, profile):
     """(coordinate, agent point) pairs in line order; NotALineError when the
     network is not a path."""
@@ -70,14 +88,12 @@ class Dictator(Mechanism):
         self.name = f"dictator:{i}"
 
     def run(self, network, profile):
-        if self.i > len(profile):
-            raise MechanismError(f"agent index {self.i} exceeds profile size {len(profile)}")
-        return point_mass(profile[self.i - 1])
+        return point_mass(profile[_agent(self.i, profile)])
 
     def deviations(self, network, profile, i, points):
         if i == self.i - 1:
             return [point_mass(p) for p in points]
-        return [self.run(network, profile)] * len(points) if points else []
+        return [self.run(network, profile)] * len(points)
 
 
 class KthLocation(Mechanism):
@@ -124,9 +140,7 @@ class DGM(Mechanism):
     boomerang = True
 
     def __init__(self, i: int, q: Fraction):
-        q = Fraction(q)
-        if not (Fraction(1, 2) < q <= 1):
-            raise MechanismError("q must satisfy 1/2 < q <= 1")
+        q = _check_q(q, Fraction(1))
         if i < 1:
             raise MechanismError(f"agent index {i} must be >= 1")
         self.i = i
@@ -134,17 +148,14 @@ class DGM(Mechanism):
         self.name = f"dgm:{i}:{q}"
 
     def run(self, network, profile):
-        if self.i > len(profile):
-            raise MechanismError(f"agent index {self.i} exceeds profile size {len(profile)}")
         need = math.ceil(self.q * len(profile))
-        return point_mass(generalized_medians(network, profile, need, [self.i - 1])[0])
+        return point_mass(generalized_medians(network, profile, need,
+                                              [_agent(self.i, profile)])[0])
 
     def deviations(self, network, profile, i, points):
-        if self.i > len(profile):  # every run raises MechanismError
-            return super().deviations(network, profile, i, points)
         need = math.ceil(self.q * len(profile))
         return [point_mass(y) for y, in deviated_medians(network, profile, i, points, need,
-                                                          [self.i - 1])]
+                                                          [_agent(self.i, profile)])]
 
 
 def _compose(network, ys, weights):
@@ -231,9 +242,7 @@ class RandomizedDGM(Mechanism):
     """PB over the n dictatorial generalized medians with uniform weights."""
 
     def __init__(self, q: Fraction):
-        q = Fraction(q)
-        if not (Fraction(1, 2) < q <= Fraction(2, 3)):
-            raise MechanismError("q must satisfy 1/2 < q <= 2/3")
+        q = _check_q(q, Fraction(2, 3))
         self.q = q
         self.name = f"rdgm:{q}"
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 # -- tolerances -------------------------------------------------------------
 # The package's only tolerances: each float comparison with slack reads one.
-# An offset this close to an edge's end is that end, agents this close on one
-# edge share a position, and a search step this short has stopped moving.
+# An offset this close to an edge's end is that end, and a search step this
+# short has stopped moving.
 ENDPOINT_SNAP = 1e-12
 # Rounding slack on derived sums: probabilities and weights that total 1, a
 # distance along a path, the lemma identities, and a zero-cost output.
@@ -415,8 +415,7 @@ def subdivide(network: TreeNetwork, anchors):
 
     Returns (augmented, anchor_nodes, origin): anchors[k] sits at augmented
     node anchor_nodes[k], and origin[v] is the original Point of augmented
-    node v.  An interior anchor within ENDPOINT_SNAP of the previous kept
-    offset on its edge shares that offset's node.
+    node v.  Two anchors share a node exactly when they are equal points.
     """
     anchor_nodes = [p.node for p in anchors]  # interior anchors filled in below
     interior = [[] for _ in network.edges]
@@ -429,7 +428,7 @@ def subdivide(network: TreeNetwork, anchors):
     for e, (u, v, w) in enumerate(network.edges):
         prev, at = u, 0.0  # last node placed along the edge, and its offset
         for off, k in sorted(interior[e]):
-            if prev == u or off - at > ENDPOINT_SNAP:
+            if off != at:
                 new_edges.append((prev, len(origin), off - at))
                 prev, at = len(origin), off
                 origin.append(Point(edge=e, offset=off))

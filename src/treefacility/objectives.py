@@ -19,7 +19,6 @@ import enum
 import math
 
 from .network import (
-    ENDPOINT_SNAP,
     ROUND_TOL,
     LocationProfile,
     NetworkError,
@@ -212,11 +211,11 @@ def _positions(network: TreeNetwork, locations):
     N = network.node_count
     edges, parent, parent_edge = network.edges, network.parent, network.parent_edge
     place = [p.node for p in locations]  # each agent's position
-    at = []  # (edge, first offset) of cluster position N + j
-    chains = {}  # edge -> its cluster positions in offset order
+    at = []  # (edge, offset) of interior position N + j
+    chains = {}  # edge -> its interior positions in offset order
     for e, off, k in sorted([(p.edge, p.offset, k) for k, p in enumerate(locations)
                              if p.node is None]):
-        if not at or at[-1][0] != e or off - at[-1][1] > ENDPOINT_SNAP:
+        if not at or at[-1] != (e, off):
             chains.setdefault(e, []).append(N + len(at))
             at.append((e, off))
         place[k] = N + len(at) - 1
@@ -224,8 +223,8 @@ def _positions(network: TreeNetwork, locations):
     sub = [0] * (N + len(at))  # the agents at or below each position
     for p in place:
         sub[p] += 1
-    # Bottom up, hang each node below the clusters of its parent edge,
-    # nearest first, and add each position's count to the one above it.
+    # Bottom up, hang each node below the interior positions of its parent
+    # edge, nearest first, and add each position's count to the one above it.
     for c in reversed(network.order[1:]):
         e, p = parent_edge[c], c
         cl = chains.get(e, ())
@@ -262,16 +261,16 @@ def generalized_medians(network: TreeNetwork, locations, need: int, roots):
     """The generalized-median walk from each root (an agent index, or None
     for node 0) into any branch holding at least ``need`` > n/2 agents.
 
-    Positions are the nodes and, inside each edge, its clusters of agents:
-    in offset order, an agent joins the current cluster when its offset is
-    within ENDPOINT_SNAP of the cluster's first offset, as in ``subdivide``,
-    and the cluster sits at that first offset.  On the tree rooted at node
-    0, sub(p) counts the agents at or below position p; the branch above p
-    holds n - sub(p) agents and a child c's branch sub(c), so at most one
-    branch qualifies.  A walk climbs while the branch above qualifies, then
-    descends while a child does.  The positions with sub(p) >= need form
-    one chain down from node 0, as two disjoint branches cannot both hold
-    more than half the agents, so every descent ends at its lowest position.
+    Positions are the nodes and each distinct agent point inside an edge:
+    two agents share a position exactly when their points are equal, as
+    anchors share a node in ``subdivide``, so agents 1e-12 apart are two
+    positions.  On the tree rooted at node 0, sub(p) counts the agents at
+    or below position p; the branch above p holds n - sub(p) agents and a
+    child c's branch sub(c), so at most one branch qualifies.  A walk
+    climbs while the branch above qualifies, then descends while a child
+    does.  The positions with sub(p) >= need form one chain down from node
+    0, as two disjoint branches cannot both hold more than half the
+    agents, so every descent ends at its lowest position.
     """
     place, at, _, up, sub = _positions(network, locations)
     return _walks(network.node_count, at, up, sub, need, _lowest(up, sub, need),
@@ -281,12 +280,11 @@ def generalized_medians(network: TreeNetwork, locations, need: int, roots):
 def deviated_medians(network: TreeNetwork, locations, i: int, points, need: int, roots):
     """generalized_medians with agent i at each of ``points``, from one
     build of the other agents' positions.  A misreport p is a node, joins
-    the cluster whose first offset it is at most ENDPOINT_SNAP past, or is
-    a new position P above the one just below it; it adds 1 to sub on P's
-    root path only.  The first position there with sub >= need is the new
-    lowest if p brought it into the chain; else the others' lowest stands.
-    When a cluster starts in (p, p + ENDPOINT_SNAP], p would absorb it, so
-    the full walk runs."""
+    the position of another agent only at exactly that agent's point, or
+    is a new position P above the one just below it; it adds 1 to sub on
+    P's root path only.
+    The first position there with sub >= need is the new lowest if p
+    brought it into the chain; else the others' lowest stands."""
     N, parent = network.node_count, network.parent
     place, at, chains, up, sub = _positions(network, locations[:i] + locations[i + 1:])
     low = _lowest(up, sub, need)
@@ -297,12 +295,8 @@ def deviated_medians(network: TreeNetwork, locations, i: int, points, need: int,
         if P is None:
             (u, v, _), t, cl = network.edges[p.edge], p.offset, chains.get(p.edge, [])
             k = bisect.bisect_right(cl, t, key=lambda c: at[c - N][1])
-            if k and t - at[cl[k - 1] - N][1] <= ENDPOINT_SNAP:
+            if k and at[cl[k - 1] - N][1] == t:
                 P = cl[k - 1]
-            elif k < len(cl) and at[cl[k] - N][1] - t <= ENDPOINT_SNAP:
-                locs = [p if j == i else x for j, x in enumerate(locations)]
-                out.append(generalized_medians(network, locs, need, roots))
-                continue
             else:  # offsets grow toward node 0 when u is the child end
                 below = (cl[k - 1] if k else u) if parent[u] == v else (cl[k] if k < len(cl) else v)
                 P = len(up)

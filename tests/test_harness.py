@@ -519,6 +519,15 @@ class TestCLI:
         assert line.startswith("error:") and len(line) < 200
         assert bound in line and "4300 digits" not in line
 
+    @pytest.mark.parametrize("head, sixes", [("rdgm", 4300), ("rdgm", 4000), ("dgm:1", 4000)])
+    def test_q_with_a_long_exact_value_names_the_bound(self, head, sixes, capsys):
+        # q = 0.66...6 is in range, but its reduced denominator 5 * 10**sixes
+        # would be printed in the mechanism's name and every ratio record.
+        spec = f"{head}:6.{'6' * sixes}e-1"
+        assert cli.main(["sp-check", "--mech", spec, "--budget", "1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and line.endswith("must be below 10**100")
+
     @pytest.mark.parametrize("command", [["eval", "--mech", "median"], ["opt"]])
     def test_length_whose_square_overflows_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "extreme.json"

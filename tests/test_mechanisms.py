@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from treefacility import objectives
 from treefacility.generators import GeneratorConfig, generate
 from treefacility.mechanisms import (
     DGM,
@@ -186,12 +187,12 @@ class TestDeviations:
     base class's loop and the stop worked out by hand."""
 
     @pytest.mark.parametrize("spec, agents, i, p, stop", [
-        # A misreport exactly ENDPOINT_SNAP past a cluster's first offset joins it.
+        # A misreport 1e-12 past an agent is its own position.
         ("median", [Point(edge=0, offset=1e-12), 1, 1], 1, Point(edge=0, offset=2e-12),
-         Point(edge=0, offset=1e-12)),
-        # Within ENDPOINT_SNAP before a cluster, the misreport takes it over.
+         Point(edge=0, offset=2e-12)),
+        # A misreport 1e-12 before an agent leaves that agent in place.
         ("median", [Point(edge=0, offset=0.5), 1, 1], 1, Point(edge=0, offset=0.5 - 1e-12),
-         Point(edge=0, offset=0.5 - 1e-12)),
+         Point(edge=0, offset=0.5)),
         # A new position sits between the dictator's node and node 0: its walk
         # climbs into it and stops there (4 agents, need 3).
         ("dgm:1:2/3", [1, 0, 0, 0], 3, Point(edge=0, offset=0.5), Point(edge=0, offset=0.5)),
@@ -208,6 +209,37 @@ class TestDeviations:
         expected = Mechanism.deviations(mech, net, prof, i, [at(p)])
         assert expected == [point_mass(at(stop))]
         assert mech.deviations(net, prof, i, [at(p)]) == expected
+
+    def test_sweeps_never_fall_back(self, monkeypatch):
+        """Every misreport, even one 3e-13 to 2e-12 from an agent, is walked
+        from the one build of the other agents: no sweep reruns the full walk
+        or the base class's loop, and a DGM whose agent is not in the profile
+        raises before it sweeps."""
+        net = line_net(1.0, 1.0)
+        agents = [Point(edge=0, offset=0.5), Point(edge=0, offset=0.5 + 1e-12),
+                  Point.at_node(1), Point(edge=1, offset=0.25)]
+        prof = LocationProfile(net, agents)
+        points = [Point.at_node(v) for v in range(net.node_count)]
+        points += [Point(edge=x.edge, offset=x.offset + d) for x in agents if not x.is_node
+                   for d in (0.0, 3e-13, -3e-13, 1e-12, -1e-12, 2e-12, -2e-12)]
+        calls = []
+
+        def counting(owner, name):
+            call = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(name)
+                return call(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(objectives, "generalized_medians")
+        counting(Mechanism, "deviations")
+        for i in range(len(prof)):
+            objectives.deviated_medians(net, prof, i, points, 3, [None, 0, 1, 2, 3])
+            DGM(2, Q23).deviations(net, prof, i, points)
+        with pytest.raises(MechanismError, match="agent index 5 exceeds profile size 3"):
+            DGM(5, Q23).deviations(net, LocationProfile(net, agents[:3]), 0, [])
+        assert calls == []
 
 
 class TestPB:

@@ -197,7 +197,7 @@ def test_shared_branch_iff_the_path_avoids_p(data):
 def test_subdivide_snaps_and_preserves_distances(data):
     net = data.draw(trees())
     anchors = grid_points(data.draw, net, data.draw(st.integers(0, 4)))
-    # Clusters of interior points at most a few ENDPOINT_SNAP apart.
+    # Interior points 0 to 2e-12 apart on one edge.
     if net.edges:
         for _ in range(data.draw(st.integers(0, 3))):
             e = data.draw(st.integers(0, len(net.edges) - 1))
@@ -208,28 +208,13 @@ def test_subdivide_snaps_and_preserves_distances(data):
                 anchors.append(net.point_on_edge(e, off))
     aug, nodes, origin = subdivide(net, anchors)
     assert len(nodes) == len(anchors)
-    node_of = dict(zip(anchors, nodes))
-    # An interior anchor is kept when it is the first on its edge or lies
-    # more than ENDPOINT_SNAP past the last kept offset; each other anchor
-    # shares the node of the last kept offset before it.
-    leader = {}
-    for e in range(len(net.edges)):
-        last = None
-        for off in sorted({p.offset for p in anchors if p.edge == e}):
-            if last is None or off - last > ENDPOINT_SNAP:
-                last = off
-            leader[e, off] = last
+    # Two anchors share a node exactly when they are equal points.
     for p, v in zip(anchors, nodes):
-        if p.is_node:
-            assert v == p.node
-        else:
-            assert v == node_of[Point(edge=p.edge, offset=leader[p.edge, p.offset])]
-    kept = {p for p in anchors if p.is_node or leader[p.edge, p.offset] == p.offset}
-    assert len({node_of[p] for p in kept}) == len(kept)
-    for p in kept:
-        assert origin[node_of[p]] == p
-        for q in kept:
-            d_aug = aug.distance(Point.at_node(node_of[p]), Point.at_node(node_of[q]))
+        assert origin[v] == p
+        assert v == p.node if p.is_node else v >= net.node_count
+        for q, w in zip(anchors, nodes):
+            assert (v == w) == (p == q)
+            d_aug = aug.distance(Point.at_node(v), Point.at_node(w))
             assert d_aug == pytest.approx(net.distance(p, q), abs=1e-12)
 
 
