@@ -31,7 +31,8 @@ from .network import (
 from .objectives import DistributionInvalidError, Objective, optimal_location
 from . import verify as V
 
-# Paper-level worst-case bounds used by search and report.
+# Paper-level worst-case bounds used by search and report.  rdgm's 1.83 is the
+# abstract's rounded figure; the paper's text fixes its q and exact value.
 KNOWN_BOUNDS = {
     ("median", "minisos"): 2.0,
     ("lrm", "minimax"): 1.5,

@@ -185,7 +185,7 @@ class PB(Mechanism):
         for m in members:
             if not isinstance(m, Mechanism) or not m.boomerang:
                 raise MechanismError(
-                    f"{getattr(m, 'name', m)!r} is not a recognized boomerang mechanism"
+                    f"{_quote(str(getattr(m, 'name', m)))} is not a recognized boomerang mechanism"
                 )
         _check_weights(weights, len(members))
         self.members = list(members)
@@ -317,6 +317,13 @@ class AverageOnly(Mechanism):
 
 # -- textual mechanism specs -----------------------------------------------
 
+QUOTED_CHARS = 60  # leading characters of spec text that an error message quotes
+
+
+def _quote(text):
+    """repr of text, cut after QUOTED_CHARS characters and marked by '...'."""
+    return repr(text) if len(text) <= QUOTED_CHARS else f"{text[:QUOTED_CHARS]!r}..."
+
 
 def _split_top(text, sep=","):
     """Split on sep at bracket depth zero; MechanismError when the brackets
@@ -342,7 +349,7 @@ def _items(text, brackets="[]"):
     """The comma-separated items of text, which must be wrapped in brackets."""
     text = text.strip()
     if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
-        raise MechanismError(f"{text!r} must be wrapped in {brackets}")
+        raise MechanismError(f"{_quote(text)} must be wrapped in {brackets}")
     return _split_top(text[1:-1])
 
 
@@ -355,16 +362,23 @@ def _parse_fraction(text) -> Fraction:
             raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise MechanismError(f"bad rational {text!r}") from None
+        raise MechanismError(f"bad rational {_quote(text)}") from None
+
+
+def _parse_int(text) -> int:
+    try:
+        return int(text)
+    except ValueError:  # int's own message quotes up to 200 characters of text
+        raise MechanismError(f"bad integer {_quote(text)}") from None
 
 
 # Spec head -> (number of ':'-separated arguments, builder taking them).
 _FAMILIES = {
     **{cls.name: (0, cls) for cls in (TreeMedian, RandomDictator, LRM, HalfAvgHalfRD,
                                        ConsecutiveMidpoints, AverageOnly)},
-    "dictator": (1, lambda i: Dictator(int(i))),
-    "kth": (1, lambda k: KthLocation("n" if k == "n" else int(k))),
-    "dgm": (2, lambda i, q: DGM(int(i), _parse_fraction(q))),
+    "dictator": (1, lambda i: Dictator(_parse_int(i))),
+    "kth": (1, lambda k: KthLocation("n" if k == "n" else _parse_int(k))),
+    "dgm": (2, lambda i, q: DGM(_parse_int(i), _parse_fraction(q))),
     "rdgm": (1, lambda q: RandomizedDGM(_parse_fraction(q))),
     "pb": (2, lambda ms, ws: PB([_parse(m) for m in _items(ms)],
                                 [float(_parse_fraction(w)) for w in _items(ws)])),
@@ -378,7 +392,7 @@ def _parse(text):
     rises unwrapped."""
     head, *args = _split_top(text.strip(), ":")
     if head not in _FAMILIES:
-        raise MechanismError(f"unknown mechanism {head!r}")
+        raise MechanismError(f"unknown mechanism {_quote(head)}")
     arity, build = _FAMILIES[head]
     if len(args) != arity:
         raise MechanismError(f"{head} takes {arity} argument(s), got {len(args)}")
@@ -396,6 +410,7 @@ def parse_mechanism(text: str) -> Mechanism:
     try:
         return _parse(text)
     except RecursionError:
-        raise MechanismError(f"bad mechanism spec {text.strip()!r}: nested too deeply") from None
+        reason = "nested too deeply"
     except (ValueError, OverflowError) as exc:  # a weight too large for a float
-        raise MechanismError(f"bad mechanism spec {text.strip()!r}: {exc}") from None
+        reason = exc
+    raise MechanismError(f"bad mechanism spec {_quote(text.strip())}: {reason}") from None

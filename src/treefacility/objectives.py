@@ -67,7 +67,7 @@ def make_distribution(pairs) -> LocationDistribution:
     """Merge duplicate points, validate probabilities, fix support order."""
     merged: dict[Point, float] = {}
     for p, prob in pairs:
-        if not prob >= -ROUND_TOL:  # NaN fails every comparison
+        if not prob >= 0.0:  # NaN fails every comparison
             raise DistributionInvalidError(f"probability {prob} at {p} is not a number >= 0")
         merged[p] = merged.get(p, 0.0) + prob
     merged = {p: q for p, q in merged.items() if q > 0.0}
@@ -120,7 +120,7 @@ def expected_agent_cost(network: TreeNetwork, dist: LocationDistribution,
 def _check_weights(weights, m):
     if len(weights) != m:
         raise DistributionInvalidError(f"{len(weights)} weights for {m} locations")
-    if not all(w >= -ROUND_TOL for w in weights):  # NaN fails every comparison
+    if not all(w >= 0.0 for w in weights):  # NaN fails every comparison
         raise DistributionInvalidError("weights must be nonnegative numbers")
     total = sum(weights)
     if abs(total - 1.0) > ROUND_TOL:

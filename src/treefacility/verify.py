@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .generators import EDGE_LENGTHS, MAX_COUNT, GeneratorConfig, generate, random_point
 from .mechanisms import Mechanism
@@ -42,32 +43,32 @@ class BadParamsError(ValueError):
 
 def deviation_points(network: TreeNetwork, profile: LocationProfile):
     """Candidate misreports: all nodes, all agent locations, and a uniform
-    grid on each edge at resolution length/DEVIATION_GRID."""
-    seen = {}
-    for i in range(network.node_count):
-        p = Point.at_node(i)
-        seen[p] = p
-    for x in profile:
-        seen[x] = x
-    for e, (_, _, w) in enumerate(network.edges):
-        for j in range(1, DEVIATION_GRID):
-            p = network.point_on_edge(e, w * j / DEVIATION_GRID)
-            seen[p] = p
-    return list(seen)
+    grid on each edge at resolution length/DEVIATION_GRID, each once in
+    first-seen order."""
+    nodes = map(Point.at_node, range(network.node_count))
+    grid = (network.point_on_edge(e, w * j / DEVIATION_GRID)
+            for e, (_, _, w) in enumerate(network.edges) for j in range(1, DEVIATION_GRID))
+    return list(dict.fromkeys(chain(nodes, profile, grid)))
 
 
 # -- misreport checks: strategyproofness and the boomerang identity ---------
 
 
-def _misreports(mechanism: Mechanism, network: TreeNetwork, profile: LocationProfile):
-    """(agent, true location, misreport, output) for every agent and every
-    deviation point other than the agent's own location, from one sweep of
-    ``mechanism.deviations`` per agent."""
+def _sweep(mechanism: Mechanism, network: TreeNetwork, profile: LocationProfile, score):
+    """(largest score floored at 0, its case, misreports tested) over every
+    agent i at x and every deviation point p other than x, where
+    ``score(i, x, p, output)`` returns (score, case) and the output comes from
+    one ``mechanism.deviations`` sweep per agent.  The first largest is kept."""
     deviations = deviation_points(network, profile)
+    best, worst, tested = float("-inf"), None, 0
     for i, x in enumerate(profile):
         points = [p for p in deviations if p != x]
         for p, out in zip(points, mechanism.deviations(network, profile, i, points)):
-            yield i, x, p, out
+            value, case = score(i, x, p, out)
+            tested += 1
+            if value > best:
+                best, worst = value, case
+    return max(best, 0.0), worst, tested
 
 
 @dataclass
@@ -83,17 +84,12 @@ def sp_check(mechanism: Mechanism, network: TreeNetwork,
     expectations, no sampling)."""
     base = mechanism.run(network, profile)
     true_costs = [expected_agent_cost(network, base, x) for x in profile]
-    max_regret = float("-inf")
-    worst = None
-    tested = 0
-    for i, x, p, out in _misreports(mechanism, network, profile):
+
+    def regret(i, x, p, out):
         dev_cost = expected_agent_cost(network, out, x)
-        tested += 1
-        regret = true_costs[i] - dev_cost
-        if regret > max_regret:
-            max_regret = regret
-            worst = (i, p, true_costs[i], dev_cost)
-    return SPReport(max_regret=max(max_regret, 0.0), worst_case=worst, tested_count=tested)
+        return true_costs[i] - dev_cost, (i, p, true_costs[i], dev_cost)
+
+    return SPReport(*_sweep(mechanism, network, profile, regret))
 
 
 @dataclass
@@ -114,19 +110,13 @@ def boomerang_check(mechanism: Mechanism, network: TreeNetwork,
     """Check that a deviator's cost increase equals the facility movement."""
     y = _the_point(mechanism, mechanism.run(network, profile))
     true_costs = network.distances_from(y, profile)
-    max_violation = float("-inf")
-    worst = None
-    tested = 0
-    for i, x, p, out in _misreports(mechanism, network, profile):
+
+    def violation(i, x, p, out):
         y2 = _the_point(mechanism, out)
-        tested += 1
         to_x, to_y = network.distances_from(y2, (x, y))
-        violation = abs((to_x - true_costs[i]) - to_y)
-        if violation > max_violation:
-            max_violation = violation
-            worst = (i, p, y, y2)
-    return BoomerangReport(max_violation=max(max_violation, 0.0), worst_case=worst,
-                           tested_count=tested)
+        return abs((to_x - true_costs[i]) - to_y), (i, p, y, y2)
+
+    return BoomerangReport(*_sweep(mechanism, network, profile, violation))
 
 
 # -- approximation ratios ---------------------------------------------------
@@ -176,13 +166,10 @@ def ratio_search(mechanism: Mechanism, objective: Objective,
     """
     if budget < 1:
         raise BadParamsError("budget must be >= 1")
-    worst = None
-    for network, profile in generate(config, budget):
-        rep = approx_ratio(mechanism, network, profile, objective)
-        if rep.ratio is None:
-            continue
-        if worst is None or rep.ratio > worst[0].ratio:
-            worst = (rep, network, profile)
+    found = ((approx_ratio(mechanism, network, profile, objective), network, profile)
+             for network, profile in generate(config, budget))
+    worst = max((f for f in found if f[0].ratio is not None),
+                key=lambda f: f[0].ratio, default=None)
     if worst is None:
         return None
     rep, network, profile = worst
@@ -264,11 +251,11 @@ def check_flattening(network, profile, a: Point, b: Point) -> IdentityReport:
               if network.branch_of(b, x) not in (None, t_a)]
     if not beyond:
         raise BadParamsError("no agents beyond the far anchor")
-    far = max(beyond, key=lambda i: network.distance(b, profile[i]))
-    xj = profile[far]
+    from_b = network.distances_from(b, profile)
+    xj = profile[max(beyond, key=from_b.__getitem__)]
     new_locs = list(profile)
     for i in beyond:
-        new_locs[i] = network.point_along_path(b, xj, network.distance(b, profile[i]))
+        new_locs[i] = network.point_along_path(b, xj, from_b[i])
     relocated = LocationProfile(network, new_locs)
     opt_pt, _ = optimal_location(network, relocated, Objective.MINISOS)
     lhs = social_cost(network, a, profile) - social_cost(network, b, profile)

@@ -264,6 +264,20 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("error: bad mechanism spec")
         assert err[0].endswith("nested too deeply")
 
+    @pytest.mark.parametrize("spec", [
+        "rdgm:6." + "6" * 4300 + "e-1",
+        "pb:[median," + "x" * 3000 + "]:[1/2,1/2]",
+        "dgm:1:" + "1" * 5000 + "x",
+        "dictator:" + "1" * 5000,
+        "pb:[mix:[" + ",".join(["(rd,1/100)"] * 100) + "]]:[1]",
+    ], ids=["q-denominator", "unknown-member", "bad-rational", "bad-integer",
+            "randomized-member"])
+    def test_long_spec_error_quotes_a_cut_of_it(self, capsys, spec):
+        assert cli.main(["sp-check", "--mech", spec, "--budget", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad mechanism spec")
+        assert len(err[0]) <= 200
+
     @pytest.mark.parametrize("network_file", [False, True])
     def test_json_nested_past_the_stack_exit_2(self, tmp_path, capsys, network_file):
         deep = "[" * 100_000

@@ -440,6 +440,18 @@ class TestDistributionInvariants:
         with pytest.raises(DistributionInvalidError):
             build(unit_line3)
 
+    @pytest.mark.parametrize("spec", [
+        "pb:[median,dgm:1:2/3]:[-1/1000000000000,1000000000001/1000000000000]",
+        "mix:[(median,-1/10000000000),(rd,10000000001/10000000000)]",
+    ])
+    def test_negative_weights_are_rejected_however_small(self, spec):
+        with pytest.raises(MechanismError, match="nonnegative"):
+            parse_mechanism(spec)
+
+    def test_negative_probability_is_rejected_however_small(self):
+        with pytest.raises(DistributionInvalidError, match="not a number >= 0"):
+            make_distribution([(Point.at_node(0), -1e-12), (Point.at_node(1), 1.0 + 1e-12)])
+
 
 class TestParse:
     @pytest.mark.parametrize("text", [

@@ -22,6 +22,7 @@ from treefacility.mechanisms import (  # noqa: E402
     DGM,
     Mechanism,
     MechanismError,
+    Mixture,
     RandomizedDGM,
     TreeMedian,
     parse_mechanism,
@@ -29,6 +30,7 @@ from treefacility.mechanisms import (  # noqa: E402
 from treefacility.network import (  # noqa: E402
     ENDPOINT_SNAP,
     ROUND_TOL,
+    SP_TOL,
     LocationProfile,
     Point,
     instance_digest,
@@ -378,6 +380,60 @@ def test_misreport_checks_report_what_the_generic_sweep_reports(data):
         got, expected = check(mech, net, prof), check(GenericSweep(mech), net, prof)
         assert (float.hex(getattr(got, field)), got.worst_case, got.tested_count) == (
             float.hex(getattr(expected, field)), expected.worst_case, expected.tested_count)
+
+
+# -- the first theorem: every composition over boomerang members is SP ------
+
+
+def positive_weights(draw, m):
+    """m positive rationals that sum to 1, as spec text."""
+    ks = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    return [str(Fraction(k, sum(ks))) for k in ks]
+
+
+@st.composite
+def pb_specs(draw, n, line):
+    """A pb spec over 1 to 4 members: median, dictator:i and dgm:i:q with
+    i <= n and q a rational in (1/2, 1], and on a line kth:k with k <= n."""
+    kinds = ["median", "dictator", "dgm"] + ["kth"] * line
+    members = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        i = draw(st.integers(1, n))
+        if kind == "dgm":
+            d = draw(st.integers(1, 12))
+            kind += f":{i}:{Fraction(draw(st.integers(d // 2 + 1, d)), d)}"
+        elif kind != "median":
+            kind += f":{i}"
+        members.append(kind)
+    return f"pb:[{','.join(members)}]:[{','.join(positive_weights(draw, len(members)))}]"
+
+
+@st.composite
+def family_specs(draw, n, line):
+    """A pb spec, or a mixture of two."""
+    if draw(st.booleans()):
+        return draw(pb_specs(n, line))
+    a, b = draw(pb_specs(n, line)), draw(pb_specs(n, line))
+    p, q = positive_weights(draw, 2)
+    return f"mix:[({a},{p}),({b},{q})]"
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data())
+def test_every_composition_over_boomerang_members_is_strategyproof(topology, data):
+    """The paper's first theorem as a property: pb over any boomerang members
+    with any weights, and any mixture of such, is SP on every tree, and each
+    member meets the boomerang identity."""
+    cfg = GeneratorConfig(topology=topology, max_nodes=8, max_agents=5,
+                          placement=data.draw(st.sampled_from(PLACEMENTS)),
+                          seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+    net, prof = next(generate(cfg, 1))
+    mech = parse_mechanism(data.draw(family_specs(len(prof), topology == "line")))
+    assert sp_check(mech, net, prof).max_regret <= SP_TOL
+    pbs = [m for m, _ in mech.components] if isinstance(mech, Mixture) else [mech]
+    for member in {m.name: m for pb in pbs for m in pb.members}.values():
+        assert boomerang_check(member, net, prof).max_violation <= SP_TOL, member.name
 
 
 @SETTINGS
