@@ -35,7 +35,7 @@ def _agent(i, profile):
     """Agent i's index in profile, agents counting from 1; MechanismError
     when the profile has fewer than i agents."""
     if i > len(profile):
-        raise MechanismError(f"agent index {i} exceeds profile size {len(profile)}")
+        raise MechanismError(f"agent index {_quote(i)} exceeds profile size {len(profile)}")
     return i - 1
 
 
@@ -83,7 +83,7 @@ class Dictator(Mechanism):
 
     def __init__(self, i: int):
         if i < 1:
-            raise MechanismError(f"agent index {i} must be >= 1")
+            raise MechanismError(f"agent index {_quote(i)} must be >= 1")
         self.i = i
         self.name = f"dictator:{i}"
 
@@ -104,7 +104,7 @@ class KthLocation(Mechanism):
 
     def __init__(self, k):
         if k != "n" and (not isinstance(k, int) or k < 1):
-            raise MechanismError(f"order statistic {k!r} must be >= 1 or 'n'")
+            raise MechanismError(f"order statistic {_quote(k)} must be >= 1 or 'n'")
         self.k = k
         self.name = f"kth:{k}"
 
@@ -113,7 +113,7 @@ class KthLocation(Mechanism):
         n = len(agents)
         k = n if self.k == "n" else self.k
         if k > n:
-            raise MechanismError(f"order statistic {k} exceeds profile size {n}")
+            raise MechanismError(f"order statistic {_quote(k)} exceeds profile size {n}")
         return point_mass(agents[k - 1][1])
 
 
@@ -142,7 +142,7 @@ class DGM(Mechanism):
     def __init__(self, i: int, q: Fraction):
         q = _check_q(q, Fraction(1))
         if i < 1:
-            raise MechanismError(f"agent index {i} must be >= 1")
+            raise MechanismError(f"agent index {_quote(i)} must be >= 1")
         self.i = i
         self.q = q
         self.name = f"dgm:{i}:{q}"
@@ -320,9 +320,10 @@ class AverageOnly(Mechanism):
 QUOTED_CHARS = 60  # leading characters of spec text that an error message quotes
 
 
-def _quote(text):
-    """repr of text, cut after QUOTED_CHARS characters and marked by '...'."""
-    return repr(text) if len(text) <= QUOTED_CHARS else f"{text[:QUOTED_CHARS]!r}..."
+def _quote(x):
+    """repr of x, a spec's text or integer; past QUOTED_CHARS characters,
+    the repr of its first QUOTED_CHARS characters of text and '...'."""
+    return repr(x) if len(str(x)) <= QUOTED_CHARS else f"{str(x)[:QUOTED_CHARS]!r}..."
 
 
 def _split_top(text, sep=","):

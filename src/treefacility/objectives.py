@@ -99,12 +99,81 @@ def social_cost(network: TreeNetwork, y: Point, profile: LocationProfile,
     return max(dists)
 
 
+def _shift(n, s, q, L):
+    """The moments (count, sum d, sum d^2) of n agents with each d grown by L."""
+    return n, s + n * L, q + 2.0 * L * s + n * L * L
+
+
+def _moments(network, profile):
+    """(down, up, out, inside): the agents' moments for _sums.  down holds,
+    for each node v, the count, sum of distances and sum of squared
+    distances of the agents at or below v, and up those of the rest, both
+    about v; out[c] holds those outside c's branch (c's subtree and parent
+    edge), about c's parent; inside[e] the offsets of e's interior agents.
+
+    The bottom-up pass sums each branch about its parent; pre[c] is the
+    parent's sum before c's branch joins it.  The top-down pass meets each
+    node's children in the reverse order, so up[a] plus the branches met so
+    far is the matching suffix.  Nothing is subtracted, so clustered agents
+    far from node 0 keep full relative precision.
+    """
+    N, edges, parent, parent_edge = network.node_count, network.edges, network.parent, network.parent_edge
+    dn, ds, dq = [0] * N, [0.0] * N, [0.0] * N  # down, one list per moment
+    inside, near = {}, {}  # near[e, end]: e's interior agents about end
+    for x in profile:
+        if x.node is None:
+            inside.setdefault(x.edge, []).append(x.offset)
+        else:
+            dn[x.node] += 1
+    for e, ts in inside.items():
+        u, v, L = edges[e]
+        for end, dists in ((u, ts), (v, [L - t for t in ts])):
+            near[e, end] = (len(dists), sum(dists), sum([d * d for d in dists]))
+    pre, branch, zero = [None] * N, [None] * N, (0, 0.0, 0.0)
+    for c in network.order[:0:-1]:
+        a, e, n, s = parent[c], parent_edge[c], dn[c], ds[c]
+        L, (k, f, g) = edges[e][2], near.get((e, a), zero)
+        pre[c] = dn[a], ds[a], dq[a]
+        branch[c] = n, s, q = n + k, s + n * L + f, dq[c] + 2.0 * L * s + n * L * L + g
+        dn[a], ds[a], dq[a] = dn[a] + n, ds[a] + s, dq[a] + q
+    up, out = [zero] * N, [None] * N
+    acc = up[:]  # up[a] plus the branches of a's children met so far
+    for c in network.order[1:]:
+        a, e = parent[c], parent_edge[c]
+        (n, s, q), (pn, ps, pq), (k, f, g) = acc[a], pre[c], branch[c]
+        acc[a] = n + k, s + f, q + g
+        out[c] = (n, s, q) = n + pn, s + ps, q + pq
+        L, (k, f, g) = edges[e][2], near.get((e, c), zero)
+        up[c] = acc[c] = n + k, s + n * L + f, q + 2.0 * L * s + n * L * L + g
+    return (dn, ds, dq), up, out, inside
+
+
+def _sums(network, table, y):
+    """(sum d, sum d^2) over the agents from y: O(1) plus y's edge's agents."""
+    (dn, ds, dq), up, out, inside = table
+    if y.node is not None:
+        return ds[y.node] + up[y.node][1], dq[y.node] + up[y.node][2]
+    (u, _, L), c = network.edges[y.edge], network.child_end(y.edge)
+    own = [abs(y.offset - t) for t in inside.get(y.edge, ())]
+    (_, s, q), (_, s2, q2) = (_shift(dn[c], ds[c], dq[c], y.offset if c == u else L - y.offset),
+                              _shift(*out[c], L - y.offset if c == u else y.offset))
+    return sum(own) + s + s2, sum([d * d for d in own]) + q + q2
+
+
 def expected_social_cost(network: TreeNetwork, dist: LocationDistribution,
                          profile: LocationProfile,
                          objective: Objective = Objective.MINISOS) -> float:
-    return _finite(sum(
-        prob * social_cost(network, y, profile, objective) for y, prob in dist
-    ))
+    """A point mass's social cost, or else: for minimax, each point's distance
+    to the farthest pair (a, b), as on a tree a or b is the agent farthest
+    from any point; for miniSOS and minisum, one _moments table."""
+    if len(dist) == 1:  # its probability may round to an ulp below 1
+        return _finite(dist[0][1] * social_cost(network, dist[0][0], profile, objective))
+    if objective is Objective.MINIMAX:
+        ys, (a, b, _) = dist.points, _farthest_pair(network, profile)
+        pairs = zip(dist, network.distances_from(a, ys), network.distances_from(b, ys))
+        return _finite(sum(prob * max(da, db) for (_, prob), da, db in pairs))
+    table, k = _moments(network, profile), 1 if objective is Objective.MINISOS else 0
+    return _finite(sum(prob * _sums(network, table, y)[k] for y, prob in dist))
 
 
 def expected_agent_cost(network: TreeNetwork, dist: LocationDistribution,
@@ -177,16 +246,16 @@ def _edge_minimizer(network, e, locations, weights, total):
     """The clamped vertex of the parabola along edge e = (u, v, L), centred
     on the first location's position so coincident locations give back
     their own offset."""
-    u, v, L = network.edges[e]
-    ends = (Point.at_node(u), Point.at_node(v))
-    at = {}  # each distinct location's position on the edge's line
-    for y in dict.fromkeys(locations):
+    edges, (u, v, L) = network.edges, network.edges[e]
+    rows = network.node_distances(u), network.node_distances(v)
+    cs = []  # each location's position on the edge's line, from the two rows
+    for y in locations:
         if y.edge == e:
-            at[y] = y.offset
-        else:
-            du, dv = network.distances_from(y, ends)
-            at[y] = -du if du <= dv else L + dv
-    cs = [at[y] for y in locations]
+            cs.append(y.offset)
+            continue
+        a, b, length = edges[y.edge] if y.node is None else (y.node, y.node, 0.0)
+        du, dv = [min(r[a] + y.offset, r[b] + (length - y.offset)) for r in rows]
+        cs.append(-du if du <= dv else L + dv)
     c0 = cs[0]
     t = c0 + sum(w * (c - c0) for w, c in zip(weights, cs)) / total
     return network.point_on_edge(e, min(max(t, 0.0), L))
@@ -328,14 +397,13 @@ def median_point(network: TreeNetwork, profile) -> Point:
     return generalized_medians(network, profile, len(profile) // 2 + 1, [None])[0]
 
 
-def _minimax_point(network, locations):
-    """Midpoint of the farthest pair, found by two farthest-point sweeps."""
+def _farthest_pair(network, locations):
+    """(a, b, d(a, b)): a farthest pair of agents, by two farthest-point sweeps."""
     from_first = network.distances_from(locations[0], locations)
     a = locations[from_first.index(max(from_first))]
     from_a = network.distances_from(a, locations)
     d_ab = max(from_a)
-    b = locations[from_a.index(d_ab)]
-    return network.point_along_path(a, b, 0.5 * d_ab)
+    return a, locations[from_a.index(d_ab)], d_ab
 
 
 def optimal_location(network: TreeNetwork, profile: LocationProfile,
@@ -346,5 +414,6 @@ def optimal_location(network: TreeNetwork, profile: LocationProfile,
     elif objective is Objective.MINISUM:
         point = median_point(network, profile)
     else:
-        point = _minimax_point(network, profile)
+        a, b, d_ab = _farthest_pair(network, profile)  # the pair's midpoint
+        point = network.point_along_path(a, b, 0.5 * d_ab)
     return point, social_cost(network, point, profile, objective)

@@ -142,15 +142,14 @@ def sweep_minisos_point(network: TreeNetwork, locations, weights):
     """
     if not network.edges:
         return Point.at_node(0)
-    nodes = [Point.at_node(i) for i in range(network.node_count)]
-    rows = {y: network.distances_from(y, nodes) for y in dict.fromkeys(locations)}
-    loc_nd = [rows[y] for y in locations]
+    # Row i: every location's distance from node i.
+    rows = [network.distances_from(Point.at_node(i), locations) for i in range(network.node_count)]
     total = sum(weights)
     best = None
     for e, (u, v, L) in enumerate(network.edges):
         cs = [
-            y.offset if y.edge == e else (-d[u] if d[u] <= d[v] else L + d[v])
-            for y, d in zip(locations, loc_nd)
+            y.offset if y.edge == e else (-du if du <= dv else L + dv)
+            for y, du, dv in zip(locations, rows[u], rows[v])
         ]
         # Centred on c_0, so coincident locations give back their own offset.
         c0 = cs[0]

@@ -278,6 +278,20 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("error: bad mechanism spec")
         assert len(err[0]) <= 200
 
+    @pytest.mark.parametrize("spec", [
+        "dictator:-" + "9" * 4000,
+        "dictator:" + "9" * 4000,
+        "dgm:" + "9" * 4000 + ":2/3",
+        "kth:" + "9" * 4000,
+    ], ids=["negative-agent", "agent-past-n", "dgm-agent-past-n", "kth-past-n"])
+    def test_long_spec_integer_error_quotes_a_cut_of_it(self, capsys, spec):
+        # The first is refused as the spec is read, the others when it runs.
+        argv = ["sp-check", "--mech", spec, "--budget", "1", "--topology", "line"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err[0]) <= 200
+
     @pytest.mark.parametrize("network_file", [False, True])
     def test_json_nested_past_the_stack_exit_2(self, tmp_path, capsys, network_file):
         deep = "[" * 100_000

@@ -22,7 +22,8 @@ from treefacility.network import (
     profile_from_json,
     subdivide,
 )
-from treefacility.objectives import social_cost
+from treefacility.mechanisms import RandomDictator
+from treefacility.objectives import Objective, expected_social_cost, social_cost, weighted_average
 
 from conftest import line_net, profile, run_capped, star_net
 from oracles import branches_at, scan_point_at_coordinate
@@ -103,6 +104,29 @@ class TestDistanceRows:
         assert calls == [17]
         social_cost(net, Point.at_node(17), prof)
         assert calls == [17]
+
+    def test_expected_costs_read_no_row_per_support_point(self, monkeypatch):
+        # rd's 200-point output: miniSOS and minisum read one moments table,
+        # and minimax the rows of the agents' farthest pair and of agent 0.
+        cfg = GeneratorConfig(min_nodes=1000, max_nodes=1000, min_agents=200,
+                              max_agents=200, seed=1)
+        net, prof = next(generate(cfg, 1))
+        dist = RandomDictator().run(net, prof)
+        calls = self.count_rows(monkeypatch)
+        expected_social_cost(net, dist, prof, Objective.MINISOS)
+        expected_social_cost(net, dist, prof, Objective.MINISUM)
+        assert calls == []
+        expected_social_cost(net, dist, prof, Objective.MINIMAX)
+        assert len(calls) <= 6
+
+    def test_interior_minisos_optimum_reads_its_edge_rows(self, monkeypatch):
+        cfg = GeneratorConfig(topology="caterpillar", min_nodes=1000, max_nodes=1000,
+                              min_agents=200, max_agents=200, seed=1)
+        net, prof = next(generate(cfg, 1))
+        calls = self.count_rows(monkeypatch)
+        point = weighted_average(net, prof, [1.0 / len(prof)] * len(prof))
+        assert not point.is_node
+        assert sorted(calls) == sorted(net.edges[point.edge][:2])
 
     def test_cost_at_an_interior_point_reads_two_rows(self, big, monkeypatch):
         net, prof = big

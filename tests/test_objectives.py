@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from treefacility.generators import GeneratorConfig, generate, random_point
+from treefacility.generators import PLACEMENTS, TOPOLOGIES, GeneratorConfig, generate, random_point
+from treefacility.mechanisms import RandomDictator, parse_mechanism
 from treefacility.network import LocationProfile, Point
 from treefacility.objectives import (
     DistributionInvalidError,
@@ -75,6 +76,43 @@ class TestExpectedCosts:
         samples = rng.choices(pts, probs, k=40000)
         est = sum(social_cost(unit_line3, y, prof) for y in samples) / len(samples)
         assert est == pytest.approx(exact, rel=0.05)
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_table_costs_match_the_rows(self, topology, placement):
+        # A support of two or more points reads one moments table (miniSOS,
+        # minisum) or the farthest pair (minimax); the rows' sum is the oracle.
+        cfg = GeneratorConfig(topology=topology, placement=placement, max_nodes=20,
+                              max_agents=12, seed=5)
+        specs = ["rd", "half-avg-rd", "rdgm:2/3"] + ["lrm", "midpoints"] * (topology == "line")
+        checked = 0
+        for net, prof in generate(cfg, 40):
+            for spec in specs:
+                dist = parse_mechanism(spec).run(net, prof)
+                for objective in Objective if len(dist) > 1 else ():
+                    want = sum(p * social_cost(net, y, prof, objective) for y, p in dist)
+                    got = expected_social_cost(net, dist, prof, objective)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("on_nodes", [False, True], ids=["inside-an-edge", "at-nodes"])
+    def test_clustered_agents_far_from_node_0_keep_their_precision(self, on_nodes):
+        # Agents 1e-9 apart, 1e6 from node 0: sums about node 0 that were
+        # subtracted would cancel every digit of these costs.
+        if on_nodes:
+            net = line_net(1e6, 1e-9, 1e-9, 1e-9)
+            prof = profile(net, *(Point.at_node(i) for i in (1, 2, 3, 4)))
+        else:
+            net = line_net(1e6, 1.0)
+            prof = profile(net, *(Point(edge=1, offset=0.5 + k * 1e-9) for k in range(4)))
+        dist = RandomDictator().run(net, prof)
+        assert len(dist) == 4
+        for objective in Objective:
+            want = sum(p * social_cost(net, y, prof, objective) for y, p in dist)
+            assert 0.0 < want < 1e-8
+            got = expected_social_cost(net, dist, prof, objective)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_agent_cost_zero_at_point_mass(self, unit_line3):
         p = unit_line3.point_on_edge(1, 0.3)
